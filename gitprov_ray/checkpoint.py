@@ -304,15 +304,16 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
 
 def _run_metrics(sf_dir: str, repeat: int, revisions, store_root: str,
                  n_triples: int) -> dict:
-    """Per-run pipeline counters (north rule: lineage + METRICS).
+    """Per-run pipeline counters (north rule: lineage + METRICS): input
+    documents, corpus repeat, events, snapshots, modified events, prov:used
+    triples and final triples.
 
-    quarantine accounting (M15/M16 policy):
-      * pages_quarantined_or_dup = rendered pages that produced no events
-        (empty/boilerplate html) or were exact (url, warc_ts) duplicates;
-      * modified_without_prior  = 'modified' events with no prior version in
-        the corpus (reference would NPE, quirk 4) — each healthy modified
-        event yields exactly one prov:used triple, so the difference counts
-        the quarantined ones.
+    The one quarantine count reported (M15/M16 policy) is
+    ``modified_without_prior_quarantined``: 'modified' events with no prior
+    version in the corpus (reference would NPE, quirk 4) — each healthy
+    modified event yields exactly one prov:used triple, so the difference
+    counts the quarantined ones. Pages quarantined for carrying no events
+    are not counted here.
     """
     import pyarrow.compute as pc
     import pyarrow.dataset as pads

@@ -1,13 +1,14 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.1 engine equivalent).
 
     read pages → map_batches(parse html → revision events)
-               → map_batches(EmitStateless, broadcast agents)   [stateless stmts]
+               → map_batches(emit_stateless_arrow, broadcast agents) [stateless stmts]
                → groupby(bucket(graph,page_key)).map_groups     [version lag]
                → union(agent stmts)
-               → flatten to triples → bucketed dedup → sort     [final graph]
+               → flatten to compact triples → bucketed dedup → expand + sort
+                                                                [final graph]
 
 Everything streams; the only materialized side input is the tiny
-contributors table (broadcast via ``ray.put``). Callers own the Ray session
+contributors table (broadcast in the emit closure). Callers own the Ray session
 (driver contract) — nothing here calls ``ray.init``.
 """
 
@@ -30,14 +31,10 @@ def revisions_from_pages(pages_ds: "rd.Dataset") -> "rd.Dataset":
 def statements_from_revisions(revisions_ds: "rd.Dataset",
                               contributor_rows: list[dict],
                               num_buckets: int = 64) -> "rd.Dataset":
-    # Broadcast: the tiny agents index is serialized ONCE into the object
-    # store by Ray as a constructor arg and fetched once per actor in
-    # __init__ — never re-shipped per batch.
-    agents_idx = emit.agents_index(contributor_rows)
     # stateless task-pool emit: the small agents index broadcasts via the
-    # serialized-once closure; no actor-pool spawn latency (the actor-pool
-    # variant, emit.EmitStateless, is for genuinely expensive per-worker
-    # state — model weights, linkage indexes)
+    # serialized-once closure — never re-shipped per batch, and no
+    # actor-pool spawn latency
+    agents_idx = emit.agents_index(contributor_rows)
     stateless = revisions_ds.map_batches(
         emit.make_emitter(agents_idx), batch_format="pyarrow")
     versioned = versions.version_statements(revisions_ds, num_buckets=num_buckets)
@@ -46,8 +43,7 @@ def statements_from_revisions(revisions_ds: "rd.Dataset",
 
 
 def triples_from_revisions(revisions_ds, contributor_rows,
-                           num_buckets: int = 64, sort: bool = False,
-                           checkpoint: bool = True):
+                           num_buckets: int = 64, checkpoint: bool = True):
     # The revisions dataset feeds BOTH the stateless-emit branch and the
     # version-lag branch; Ray Data re-executes shared lineage per consumer,
     # so materialize the (narrow) event table once. This is also the
@@ -63,22 +59,20 @@ def triples_from_revisions(revisions_ds, contributor_rows,
     stmts = statements_from_revisions(revisions_ds, contributor_rows,
                                       num_buckets=num_buckets)
     # compact-id exchange: local names + predicate codes through the dedup
-    # shuffle, URIs expanded post-dedup (~45% fewer shuffle bytes; proven
-    # row-identical to the full-width exchange by test_compact_exchange)
+    # shuffle, URIs expanded post-dedup (~45% fewer shuffle bytes)
     return triples_stage.statements_to_triples_compact(
-        stmts, num_buckets=num_buckets, sort=sort)
+        stmts, num_buckets=num_buckets)
 
 
 def triples_from_pages(pages_ds, contributor_rows,
-                       num_buckets: int = 64, sort: bool = False,
-                       checkpoint: bool = True):
+                       num_buckets: int = 64, checkpoint: bool = True):
     return triples_from_revisions(revisions_from_pages(pages_ds),
                                   contributor_rows, num_buckets=num_buckets,
-                                  sort=sort, checkpoint=checkpoint)
+                                  checkpoint=checkpoint)
 
 
 def flagship_from_pages_parquet(pages_path: str, contributor_rows: list[dict],
-                                num_buckets: int = 64, sort: bool = False,
+                                num_buckets: int = 64,
                                 checkpoint: bool = True,
                                 canonicalize: bool = False):
     """Run the flagship over a REAL pages table — a parquet of the
@@ -126,16 +120,14 @@ def flagship_from_pages_parquet(pages_path: str, contributor_rows: list[dict],
         pages_ds = read_parquet_clean(pages_path,
                                       columns=["url", "warc_ts", "html"])
     tri = triples_from_pages(pages_ds, contributor_rows,
-                             num_buckets=num_buckets, sort=sort,
-                             checkpoint=checkpoint)
-    return _maybe_canonicalize(tri, canonicalize, sort, num_buckets)
+                             num_buckets=num_buckets, checkpoint=checkpoint)
+    return _maybe_canonicalize(tri, canonicalize, num_buckets)
 
 
-def _maybe_canonicalize(tri, canonicalize: bool, sort: bool, num_buckets: int):
+def _maybe_canonicalize(tri, canonicalize: bool, num_buckets: int):
     if not canonicalize:
         return tri
-    tri = canonicalize_triples(tri.materialize(), num_buckets=num_buckets)
-    return triples_stage.sorted_triples(tri) if sort else tri
+    return canonicalize_triples(tri.materialize(), num_buckets=num_buckets)
 
 
 def pages_from_documents(sf_dir: str, repeat: int = 1) -> "rd.Dataset":
@@ -224,10 +216,11 @@ def canonicalize_triples(triples_ds, threshold: float = 0.7,
     return triples_stage.dedup_triples(rewritten, num_buckets=num_buckets)
 
 
-def flagship(sf_dir: str, num_buckets: int = 64, sort: bool = False,
+def flagship(sf_dir: str, num_buckets: int = 64,
              repeat: int = 1, checkpoint: bool = True,
              canonicalize: bool = False):
-    """documents-derived pages → final sorted deduped triples Dataset.
+    """documents-derived pages → final deduped triples Dataset, each
+    partition sorted by the triple key.
 
     ``checkpoint=False`` streams the whole DAG with no materialize barrier
     (the two revision consumers re-execute the parse; it parallelizes and
@@ -237,6 +230,5 @@ def flagship(sf_dir: str, num_buckets: int = 64, sort: bool = False,
     pages_ds = pages_from_documents(sf_dir, repeat=repeat)
     contributors = contributors_for_sf(sf_dir)
     tri = triples_from_pages(pages_ds, contributors,
-                              num_buckets=num_buckets, sort=sort,
-                              checkpoint=checkpoint)
-    return _maybe_canonicalize(tri, canonicalize, sort, num_buckets)
+                              num_buckets=num_buckets, checkpoint=checkpoint)
+    return _maybe_canonicalize(tri, canonicalize, num_buckets)

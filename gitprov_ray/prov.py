@@ -1,10 +1,12 @@
 """PROV statement construction + statement→RDF-triple flattening.
 
-Pure functions shared by the single-threaded oracle (`oracle.py`) and the
-distributed engine (`stages/`): both paths mint statements through these
-builders and flatten them through :func:`statement_to_triples`, so triple
-P/R between engine and oracle measures the distributed computation
-(ordering, lag, dedup, joins), not serialization choices.
+Pure functions: the single-threaded oracle (`oracle.py`) mints statements
+through these builders and flattens them through
+:func:`statement_to_triples`; the distributed engine's vectorized kernels
+(`stages/`) are pinned to them per batch (test_emit_vec.py,
+test_flatten_vec.py), so triple P/R between engine and oracle measures the
+distributed computation (ordering, lag, dedup, joins), not serialization
+choices.
 
 Statement payload/id semantics mirror the reference emitters
 (ProvenanceService.java:302-519; id grammars in `idgen.py`). The
@@ -197,22 +199,20 @@ _NODE_CLASS = {"activity": "prov:Activity", "agent": "prov:Agent",
 _TIME_PRED = {"activity": "prov:startedAtTime"}
 
 
-def flatten_into(stmt: dict, cols: dict[str, list]) -> None:
-    """Flatten one statement into columnar triple lists (appends in place).
+TRIPLE_COL_NAMES = ("subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph")
 
-    Single implementation shared by the engine's batch flatten and the
-    oracle's :func:`statement_to_triples` wrapper — guarantees both paths
-    produce byte-identical triples."""
+
+def statement_to_triples(stmt: dict) -> list[dict]:
+    """Flatten one statement row into RDF triple rows. Used by the oracle;
+    the engine's compact flatten (``stages/triples.py``) is pinned to it
+    per batch by test_flatten_vec.py."""
     g = stmt["graph"]
     gp = idgen.graph_ns(g)
+    out: list[dict] = []
 
     def tri(s, p, o, lit=False, dtype=""):
-        cols["subj"].append(s)
-        cols["pred"].append(expand(p, g))
-        cols["obj"].append(o)
-        cols["obj_is_literal"].append(lit)
-        cols["obj_dtype"].append(dtype)
-        cols["graph"].append(g)
+        out.append({"subj": s, "pred": expand(p, g), "obj": o,
+                    "obj_is_literal": lit, "obj_dtype": dtype, "graph": g})
 
     attrs = json.loads(stmt["attrs"]) if stmt["attrs"] else {}
     st = stmt["stmt_type"]
@@ -251,14 +251,4 @@ def flatten_into(stmt: dict, cols: dict[str, list]) -> None:
         emit_attrs(node)
     else:  # pragma: no cover
         raise ValueError(f"unknown stmt_type {st!r}")
-
-
-TRIPLE_COL_NAMES = ("subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph")
-
-
-def statement_to_triples(stmt: dict) -> list[dict]:
-    """Flatten one statement row into RDF triple rows (row-dict adapter
-    over :func:`flatten_into`; used by the oracle and tests)."""
-    cols: dict[str, list] = {n: [] for n in TRIPLE_COL_NAMES}
-    flatten_into(stmt, cols)
-    return [dict(zip(TRIPLE_COL_NAMES, vals)) for vals in zip(*cols.values())]
+    return out

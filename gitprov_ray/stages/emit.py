@@ -1,6 +1,6 @@
-"""Stateless statement emitters (SURVEY.md §2.9 rows without cross-row state).
+"""Stateless statement emit (SURVEY.md §2.9 rows without cross-row state).
 
-``emit_stateless_batch`` turns REVISIONS rows into statement rows for the
+``emit_stateless_arrow`` turns REVISIONS rows into statement rows for the
 STATUS-INDEPENDENT statements only: activity, wasAssociatedWith, entity
 (specialized), base-entity candidate, specializationOf, wasInformedBy
 (parents-list explode, J4). The status-dependent statements (wasGeneratedBy
@@ -26,18 +26,23 @@ same id but keep distinct labels (both label triples survive, as in the
 reference). No groupby-first shuffle required for parity.
 
 Agent resolution (ST2) uses a BROADCAST of the small contributors side
-table: the ``ray.put`` object ref is passed to the actor-pool class, fetched
-once per actor in ``__init__`` — never re-shipped per batch.
+table: ``make_emitter`` captures the agents index in the task closure, which
+Ray serializes once — never re-shipped per batch.
+
+The readable reference for every statement emitted here is ``oracle.py``;
+test_emit_vec.py pins this emitter to it per batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-import ray
+import json
 
-from .. import prov, schemas
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
+from .. import idgen, prov, schemas
+from ..schemas import STMT_RANK
 
 
 def agents_index(contributor_rows: list[dict]) -> dict[str, list[tuple]]:
@@ -65,51 +70,14 @@ def _stmts_to_table(stmts: list[dict]) -> pa.Table:
 
 
 def make_emitter(agents_idx: dict):
-    """Stateless task-pool variant of EmitStateless: the (small) agents
-    index is captured in the closure, which Ray serializes ONCE and ships by
-    reference to tasks — the broadcast without actor-spawn latency. Use the
-    actor-pool class when per-worker setup is genuinely expensive (models,
-    indexes); use this when the state is a small lookup table."""
+    """Task-pool ``map_batches`` UDF for :func:`emit_stateless_arrow`: the
+    (small) agents index is captured in the closure, which Ray serializes
+    ONCE and ships by reference to tasks — the broadcast without actor-spawn
+    latency."""
     def emit_batch(batch: pa.Table) -> pa.Table:
         return emit_stateless_arrow(batch, agents_idx)
 
     return emit_batch
-
-
-class EmitStateless:
-    """Actor-pool callable: broadcast agents index in __init__ (once per
-    actor), per-batch stateless statement emit in __call__."""
-
-    def __init__(self, agents_ref):
-        self.agents = (
-            ray.get(agents_ref) if not isinstance(agents_ref, dict) else agents_ref
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        stmts: list[dict] = []
-        seen_commit: set[tuple] = set()
-        cols = {
-            name: batch.column(name).to_pylist()
-            for name in (
-                "graph", "page_key", "snapshot_id", "ts", "author",
-                "author_name", "label", "parents",
-            )
-        }
-        for graph, f, sha, ts, author, author_name, label, parents in zip(
-            cols["graph"], cols["page_key"], cols["snapshot_id"], cols["ts"],
-            cols["author"], cols["author_name"], cols["label"], cols["parents"],
-        ):
-            if (graph, sha) not in seen_commit:
-                seen_commit.add((graph, sha))
-                resolved = resolve_author(self.agents.get(graph, []), author, author_name)
-                stmts.append(prov.stmt_activity(graph, sha, ts, label))
-                stmts.append(prov.stmt_association(graph, sha, resolved))
-                for parent in parents or []:
-                    stmts.append(prov.stmt_informed(graph, sha, parent))
-            stmts.append(prov.stmt_entity(graph, f, sha))
-            stmts.append(prov.stmt_base_entity(graph, f))
-            stmts.append(prov.stmt_specialization(graph, f, sha))
-        return _stmts_to_table(stmts)
 
 
 def emit_agents_table(contributor_rows: list[dict]) -> pa.Table:
@@ -123,165 +91,17 @@ def emit_agents_table(contributor_rows: list[dict]) -> pa.Table:
     return _stmts_to_table(stmts)
 
 
-# ---------------------------------------------------------------------------
-# vectorized emit (same output as EmitStateless, ~10x less CPU)
-# ---------------------------------------------------------------------------
-
-def _json_quote_series(s: pd.Series) -> pd.Series:
-    """Vectorized twin of ``s.map(lambda v: json.dumps(v,
-    ensure_ascii=False))`` for strings: values without a JSON-escapable
-    character (backslash, quote, C0 control) are just quoted; the rare
-    flagged rows fall back to json.dumps. Byte-identical (json.dumps with
-    ensure_ascii=False escapes exactly that character class)."""
-    import json as _json
-
-    isna = s.isna()
-    spec = s.str.contains(r'[\\"\x00-\x1f]', regex=True).fillna(False)
-    out = ('"' + s + '"').copy()
-    if spec.any():
-        out[spec] = s[spec].map(lambda v: _json.dumps(v, ensure_ascii=False))
-    if isna.any():
-        out[isna] = "null"       # json.dumps(None) — matches the row twin
-    return out
-
-
-def emit_stateless_vec(batch: pa.Table, agents: dict) -> pa.Table:
-    """Vectorized twin of EmitStateless.__call__.
-
-    Exploits two invariants (asserted by test_emit_vec_parity):
-      * snapshot ids are hex, so escape_ncname is the identity on them;
-      * escape_ncname distributes over concatenation when the left part
-        starts with a letter (every minted id starts with a literal
-        prefix), so ids are built by string concat over per-unique-filename
-        escaped bases.
-    Statement payloads (attrs JSON) are rendered from templates that match
-    json.dumps(..., ensure_ascii=False, sort_keys=True) byte for byte.
-    """
-    import json as _json
-
-    from .. import idgen
-    from ..schemas import STMT_RANK
-
-    df = pd.DataFrame({
-        "graph": batch.column("graph").to_pandas(),
-        "f": batch.column("page_key").to_pandas(),
-        "sha": batch.column("snapshot_id").to_pandas(),
-        "ts": batch.column("ts").to_pandas(),
-        "author": batch.column("author").to_pandas(),
-        "author_name": batch.column("author_name").to_pandas(),
-        "label": batch.column("label").to_pandas(),
-    })
-    parents_col = batch.column("parents").to_pylist()
-
-    # per-unique-filename derived strings
-    base_of = {}
-    jlabel_of = {}
-    from .. import idgen as _idg
-
-    for v in pd.unique(df["f"]):
-        base_of[v] = _idg.escape_ncname(_idg.base_entity_name(v))
-        jlabel_of[v] = _json.dumps(v, ensure_ascii=False)
-    base = df["f"].map(base_of)
-    spec = base + "_commit-" + df["sha"]
-    ent_attrs = '{"prov:label": [' + df["f"].map(jlabel_of) + ', "xsd:string"]}'
-
-    frames = []
-
-    # --- per-event statements -------------------------------------------
-    for stype, id_s, subj_s, obj_s in (
-        ("entity", spec, spec, None),
-        ("base_entity", base, base, None),
-        ("specializationOf", None, spec, base),
-    ):
-        frames.append(pd.DataFrame({
-            "stmt_type": stype,
-            "id": id_s.to_numpy() if id_s is not None else None,
-            "subj": subj_s.to_numpy(),
-            "obj": obj_s.to_numpy() if obj_s is not None else None,
-            "secondary": None, "t": pd.NaT,
-            "attrs": ent_attrs.to_numpy() if stype != "specializationOf" else "{}",
-            "graph": df["graph"].to_numpy(),
-            "stmt_rank": STMT_RANK[stype]}))
-
-    # --- per-commit statements ------------------------------------------
-    first_idx = ~df[["graph", "sha"]].duplicated()
-    c = df[first_idx]
-    cparents = [parents_col[i] for i in np.flatnonzero(first_idx.to_numpy())]
-    url = "https://" + c["graph"] + "/snapshot/" + c["sha"]
-    act_attrs = ('{"foaf:homepage": [' + _json_quote_series(url) +
-                 ', "xsd:anyURI"], "prov:label": [' +
-                 _json_quote_series(c["label"]) +
-                 ', "xsd:string"]}')
-    frames.append(pd.DataFrame({
-        "stmt_type": "activity", "id": ("commit-" + c["sha"]).to_numpy(),
-        "subj": ("commit-" + c["sha"]).to_numpy(), "obj": None,
-        "secondary": None, "t": c["ts"].to_numpy(),
-        "attrs": act_attrs.to_numpy(), "graph": c["graph"].to_numpy(),
-        "stmt_rank": STMT_RANK["activity"]}))
-
-    resolved = [
-        a if a is not None else resolve_author(agents.get(gr, []), a, an)
-        for a, an, gr in zip(c["author"], c["author_name"], c["graph"])
-    ]
-    agent_ids = [_idg.agent_id(r) for r in resolved]
-    frames.append(pd.DataFrame({
-        "stmt_type": "wasAssociatedWith",
-        "id": ("association-" + c["sha"]).to_numpy(),
-        "subj": ("commit-" + c["sha"]).to_numpy(), "obj": agent_ids,
-        "secondary": None, "t": pd.NaT,
-        "attrs": '{"prov:role": ["authorship", "xsd:string"]}',
-        "graph": c["graph"].to_numpy(),
-        "stmt_rank": STMT_RANK["wasAssociatedWith"]}))
-
-    inf_rows = {"id": [], "subj": [], "obj": [], "graph": []}
-    for sha, gr, ps in zip(c["sha"], c["graph"], cparents):
-        for p in ps or []:
-            inf_rows["id"].append("information-" + p + "-" + sha)
-            inf_rows["subj"].append("commit-" + sha)
-            inf_rows["obj"].append("commit-" + p)
-            inf_rows["graph"].append(gr)
-    if inf_rows["id"]:
-        frames.append(pd.DataFrame({
-            "stmt_type": "wasInformedBy", "id": inf_rows["id"],
-            "subj": inf_rows["subj"], "obj": inf_rows["obj"],
-            "secondary": None, "t": pd.NaT, "attrs": "{}",
-            "graph": inf_rows["graph"],
-            "stmt_rank": STMT_RANK["wasInformedBy"]}))
-
-    for f in frames:
-        # all-NaT scalar columns come out datetime64[ns]; align to the us
-        # event timestamps or pd.concat's all-NA dtype deprecation fires
-        if str(f["t"].dtype) != "datetime64[us]":
-            f["t"] = f["t"].astype("datetime64[us]")
-    out = pd.concat(frames, ignore_index=True)
-    out["t"] = pd.to_datetime(out["t"])
-    out["stmt_rank"] = out["stmt_rank"].astype("int32")
-    from ..util import pandas_to_arrow
-    from .. import schemas
-
-    return pandas_to_arrow(out, schemas.STATEMENTS)
-
-
-# ---------------------------------------------------------------------------
-# Arrow-native emit (same output as EmitStateless / emit_stateless_vec,
-# all-C++ kernels — no pandas string churn in the hot flagship path)
-# ---------------------------------------------------------------------------
-
-import pyarrow.compute as pc  # noqa: E402  (kept near its sole consumers)
-
-
 def _json_quote_arrow(arr: pa.Array) -> pa.Array:
-    """Arrow twin of :func:`_json_quote_series`: values without a
-    JSON-escapable character (backslash, quote, C0 control) are quoted with
-    one C++ concat; the rare flagged rows fall back to json.dumps; nulls
-    render as the JSON literal ``null`` (matching json.dumps(None))."""
-    import json as _json
-
+    """Vectorized ``json.dumps(v, ensure_ascii=False)`` over a string
+    array: values without a JSON-escapable character (backslash, quote, C0
+    control) are quoted with one C++ concat; the rare flagged rows fall back
+    to json.dumps; nulls render as the JSON literal ``null`` (matching
+    json.dumps(None))."""
     simple = pc.binary_join_element_wise('"', arr, '"', "")
     flagged = pc.fill_null(pc.match_substring_regex(arr, r'[\\"\x00-\x1f]'), False)
     if pc.any(flagged).as_py():
         idx = np.flatnonzero(flagged.to_numpy(zero_copy_only=False))
-        vals = [_json.dumps(v, ensure_ascii=False)
+        vals = [json.dumps(v, ensure_ascii=False)
                 for v in arr.take(pa.array(idx)).to_pylist()]
         out = np.asarray(simple.to_pandas(), dtype=object)
         out[idx] = vals
@@ -299,18 +119,19 @@ def _dict_map(arr: pa.Array, fn) -> pa.Array:
 
 
 def emit_stateless_arrow(batch: pa.Table, agents: dict) -> pa.Table:
-    """Arrow-native twin of EmitStateless.__call__ / emit_stateless_vec.
+    """REVISIONS batch → status-independent STATEMENTS rows, all Arrow C++
+    kernels (no pandas string churn in the hot flagship path).
 
-    Pinned by test_emit_vec.py multiset parity against BOTH the row
-    reference and the pandas twin. Same invariants as the pandas twin
-    (snapshot ids are hex → escape_ncname is identity; ids distribute over
-    concat) plus: per-unique-value Python escapes via dictionary encode,
+    Pinned by test_emit_vec.py set parity against ``oracle.build_statements``.
+    Invariants it exploits: snapshot ids are hex, so escape_ncname is the
+    identity on them; escape_ncname distributes over concatenation when the
+    left part starts with a letter (every minted id starts with a literal
+    prefix), so ids are string concats over per-unique-filename escaped
+    bases. Per-unique-value Python escapes via dictionary encode,
     first-per-(graph,sha) via np.unique on dictionary codes, parents
     explode via list_flatten/list_parent_indices — zero per-row Python in
-    the common path."""
-    from .. import idgen, schemas
-    from ..schemas import STMT_RANK
-
+    the common path. Attrs JSON is rendered from templates that match
+    ``json.dumps(..., ensure_ascii=False, sort_keys=True)`` byte for byte."""
     batch = batch.combine_chunks()
     n = batch.num_rows
     if n == 0:
@@ -399,6 +220,4 @@ def emit_stateless_arrow(batch: pa.Table, agents: dict) -> pa.Table:
 
 
 def _json_dumps_str(v: str) -> str:
-    import json as _json
-
-    return _json.dumps(v, ensure_ascii=False)
+    return json.dumps(v, ensure_ascii=False)

@@ -43,8 +43,9 @@ def page_events_batch(batch: pa.Table) -> pa.Table:
     One output row per (snapshot, resource marker). snapshot_id is
     re-derived as sha1(url|ts) — the engine never needs an id column in the
     input. Pages with no parseable resource events (empty/boilerplate html)
-    are quarantined: they yield no rows and are counted in the
-    ``quarantined`` metric column of engine metrics (M15/M16 policy).
+    are quarantined: they yield no rows (M15/M16 policy). No counter records
+    them yet — the run metrics (``checkpoint._run_metrics``) count events,
+    not pages.
     """
     urls = batch.column("url").to_pylist()
     tss = batch.column("warc_ts").to_pylist()

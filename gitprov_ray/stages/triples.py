@@ -1,17 +1,20 @@
 """Statements → RDF triples: flatten, bucketed exact dedup, in-partition sort.
 
 Dedup design (SURVEY.md §2.5 generalized row): distinct on
-(graph, subj, pred, obj) is an all-to-all exchange. Rows are bucketed by a
-hash of the triple key and each bucket is deduplicated AND sorted in one
-vectorized Arrow pass — a single shuffle yields the north rule's sorted
-deduplicated partitions. A per-batch local pre-dedup runs inside the
-flatten stage (partial/combiner pattern) so the shuffle moves fewer rows.
+(graph, subj, pred, obj) is an all-to-all exchange. The flagship runs one
+path: ``flatten_batch_compact`` (statements → compact rows, with a per-batch
+local pre-dedup — the partial/combiner pattern, so the shuffle moves fewer
+rows) → ``add_compact_bucket`` (hash of the compact key) →
+``_dedup_expand_sort_group`` (each bucket deduplicated, expanded to full
+URIs AND sorted in one vectorized Arrow pass) — a single shuffle yields the
+north rule's sorted deduplicated partitions. ``dedup_triples`` is the
+full-width variant, used only to re-dedup after canonicalization.
 
 Hot-path discipline (measured, sf0.1×30 ≈ 9M triples):
-  * bucket ids via vectorized ``pd.util.hash_pandas_object`` (a per-row
-    Python sha1 loop cost ~25s of CPU here);
-  * dedup+sort via Arrow C++ ``sort_by`` + adjacent-key compare — the
-    pandas object-dtype equivalent cost 840 CPU-seconds.
+  * bucket ids via vectorized pandas siphash (a per-row Python sha1 loop
+    cost ~25s of CPU here);
+  * dedup+sort via Arrow C++ kernels — the pandas object-dtype equivalent
+    cost 840 CPU-seconds.
 """
 
 from __future__ import annotations
@@ -24,33 +27,6 @@ import pyarrow.compute as pc
 from .. import prov, schemas
 
 _KEY_COLS = ["graph", "subj", "pred", "obj"]
-
-
-def flatten_batch(batch: pa.Table) -> pa.Table:
-    """STATEMENTS batch → TRIPLES batch with local pre-dedup (combiner).
-
-    Columnar fast path: statements flatten straight into column lists via
-    the same ``prov.flatten_into`` the oracle uses; local dedup is a set of
-    key tuples (no pandas round-trip)."""
-    cols: dict[str, list] = {n: [] for n in prov.TRIPLE_COL_NAMES}
-    for s in batch.to_pylist():
-        prov.flatten_into(s, cols)
-    n = len(cols["subj"])
-    if n == 0:
-        return pa.Table.from_pylist([], schema=schemas.TRIPLES)
-    seen: set = set()
-    keep = []
-    subj, pred, obj, graph = cols["subj"], cols["pred"], cols["obj"], cols["graph"]
-    for i in range(n):
-        k = (graph[i], subj[i], pred[i], obj[i])
-        if k not in seen:
-            seen.add(k)
-            keep.append(i)
-    if len(keep) != n:
-        cols = {name: [vals[i] for i in keep] for name, vals in cols.items()}
-    return pa.Table.from_pydict(
-        {name: cols[name] for name in prov.TRIPLE_COL_NAMES},
-        schema=schemas.TRIPLES)
 
 
 def add_triple_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
@@ -85,11 +61,11 @@ def _dedup_sort_group(t: pa.Table) -> pa.Table:
 
 
 def dedup_triples(triples_ds, num_buckets: int = 64):
-    """Exact distinct on (graph, subj, pred, obj) via stable hash buckets
-    (shuffle #4 of the physical plan). Each bucket is ALSO sorted by the
-    triple key, so the output is sorted deduplicated partitions (the north
-    rule's graph layout) in a single all-to-all — no separate global sort
-    shuffle."""
+    """Exact distinct on (graph, subj, pred, obj) over full-width TRIPLES
+    rows via stable hash buckets, each bucket sorted by the triple key. The
+    flagship dedups in the compact exchange instead
+    (:func:`statements_to_triples_compact`); this re-dedups after
+    canonicalization rewrites subj/obj (rewrites can collide rows)."""
     keyed = triples_ds.map_batches(
         lambda b: add_triple_bucket(b, num_buckets), batch_format="pyarrow"
     )
@@ -98,133 +74,7 @@ def dedup_triples(triples_ds, num_buckets: int = 64):
     )
 
 
-def sorted_triples(triples_ds):
-    """Optional global total order (small outputs / text serialization)."""
-    return triples_ds.sort(["graph", "subj", "pred", "obj"])
-
-
-def statements_to_triples(statements_ds, num_buckets: int = 64, sort: bool = False):
-    """statements → deduplicated triples in sorted partitions; pass
-    ``sort=True`` to add a global total-order sort on top (extra shuffle —
-    only worth it for small outputs)."""
-    ds = statements_ds.map_batches(flatten_batch_vec, batch_format="pyarrow")
-    ds = dedup_triples(ds, num_buckets=num_buckets)
-    return sorted_triples(ds) if sort else ds
-
-
-# ---------------------------------------------------------------------------
-# vectorized flatten (same output as flatten_batch; tested multiset-equal)
-# ---------------------------------------------------------------------------
-
 _GP_PREFIX = "https://gitprov.example/graph/"
-
-
-def _vec_frames(df: pd.DataFrame) -> list[pd.DataFrame]:
-    """Per-stmt_type vectorized flattening into triple frames."""
-    import json as _json
-    from datetime import datetime as _dt
-
-    from ..prov import _ATTR_PRED, _INFLUENCE, _NODE_CLASS, _TIME_PRED, expand
-
-    out: list[pd.DataFrame] = []
-    gp = _GP_PREFIX + df["graph"] + "#"
-
-    def frame(subj, pred, obj, lit, dtype, graph):
-        out.append(pd.DataFrame({
-            "subj": subj, "pred": pred, "obj": obj,
-            "obj_is_literal": lit, "obj_dtype": dtype, "graph": graph}))
-
-    def emit_attr_rows(sub: pd.DataFrame, node: pd.Series, gseries: pd.Series):
-        """Row-wise attr expansion (only rows whose attrs != '{}')."""
-        mask = sub["attrs"].ne("{}") & sub["attrs"].notna()
-        if not mask.any():
-            return
-        s = sub[mask]
-        n = node[mask]
-        g = gseries[mask]
-        rows = {"subj": [], "pred": [], "obj": [], "obj_is_literal": [],
-                "obj_dtype": [], "graph": []}
-        cache: dict[str, dict] = {}
-        for nd, attrs_json, gr in zip(n, s["attrs"], g):
-            attrs = cache.get(attrs_json)
-            if attrs is None:
-                attrs = _json.loads(attrs_json)
-                cache[attrs_json] = attrs
-            gpre = _GP_PREFIX + gr + "#"
-            for pred, (val, dtype) in sorted(attrs.items()):
-                if dtype == "@uri":
-                    rows["subj"].append(nd)
-                    rows["pred"].append(expand(pred, gr))
-                    rows["obj"].append(gpre + str(val))
-                    rows["obj_is_literal"].append(False)
-                    rows["obj_dtype"].append("")
-                else:
-                    rows["subj"].append(nd)
-                    rows["pred"].append(expand(_ATTR_PRED.get(pred, pred), gr))
-                    rows["obj"].append(str(val))
-                    rows["obj_is_literal"].append(True)
-                    rows["obj_dtype"].append(dtype)
-                rows["graph"].append(gr)
-        out.append(pd.DataFrame(rows))
-
-    def iso_series(ts: pd.Series) -> pd.Series:
-        return ts.map(lambda d: d.isoformat() if isinstance(d, _dt)
-                      else pd.Timestamp(d).to_pydatetime().isoformat())
-
-    for st, sub in df.groupby("stmt_type", sort=False):
-        g = sub["graph"]
-        sgp = _GP_PREFIX + g + "#"
-        if st in _NODE_CLASS:
-            node = sgp + sub["subj"]
-            frame(node, expand("rdf:type", ""), expand(_NODE_CLASS[st], ""),
-                  False, "", g)
-            if st in _TIME_PRED:
-                tmask = sub["t"].notna()
-                if tmask.any():
-                    frame(node[tmask], expand(_TIME_PRED[st], ""),
-                          iso_series(sub["t"][tmask]), True, "xsd:dateTime",
-                          g[tmask])
-            emit_attr_rows(sub, node, g)
-        elif st == "specializationOf":
-            frame(sgp + sub["subj"], expand("prov:specializationOf", ""),
-                  sgp + sub["obj"], False, "", g)
-        elif st in _INFLUENCE:
-            direct, qpred, qcls, opred = _INFLUENCE[st]
-            subj = sgp + sub["subj"]
-            obj = sgp + sub["obj"]
-            node = sgp + sub["id"]
-            if direct:
-                frame(subj, expand(direct, ""), obj, False, "", g)
-            frame(subj, expand(qpred, ""), node, False, "", g)
-            frame(node, expand("rdf:type", ""), expand(qcls, ""), False, "", g)
-            frame(node, expand(opred, ""), obj, False, "", g)
-            smask = sub["secondary"].notna()
-            if smask.any():
-                frame(node[smask], expand("prov:hadActivity", ""),
-                      sgp[smask] + sub["secondary"][smask], False, "", g[smask])
-            tmask = sub["t"].notna()
-            if tmask.any():
-                frame(node[tmask], expand("prov:atTime", ""),
-                      iso_series(sub["t"][tmask]), True, "xsd:dateTime",
-                      g[tmask])
-            emit_attr_rows(sub, node, g)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown stmt_type {st!r}")
-    return out
-
-
-def flatten_batch_vec(batch: pa.Table) -> pa.Table:
-    """Vectorized twin of flatten_batch (structural triples by column
-    concat; attrs row-wise with a per-distinct-attrs-JSON parse cache),
-    with the same local pre-dedup."""
-    if batch.num_rows == 0:
-        return pa.Table.from_pylist([], schema=schemas.TRIPLES)
-    df = batch.to_pandas()
-    frames = _vec_frames(df)
-    tri = pd.concat(frames, ignore_index=True)
-    tri = tri.drop_duplicates(["graph", "subj", "pred", "obj"])
-    return pa.Table.from_pandas(tri, schema=schemas.TRIPLES,
-                                preserve_index=False).replace_schema_metadata(None)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +102,7 @@ def flatten_batch_vec(batch: pa.Table) -> pa.Table:
 #     columns (s_local, o_val) deliberately stay plain: their per-block
 #     dictionaries are nearly row-unique (no byte savings) and Ray's
 #     sort-based shuffle re-unifies dictionaries per reduce chunk — a
-#     measured 7× wall blowup (see _DICT_MODE below). The reduce side
+#     measured 7× wall blowup (see _DICT_COLS below). The reduce side
 #     decodes once per bucket.
 
 _PRED_CURIES = [
@@ -279,8 +129,6 @@ for _c in _PRED_CURIES:
 _PRED_LOCAL = {_PRED_CODE[c]: c.split(":", 1)[1]
                for c in _PRED_CURIES if c.startswith("gitprov:")}
 
-_URI_TO_CODE = {u: c for c, u in _PRED_URI.items()}
-
 # closed rdf:type object-class table (obj_kind=3 rows ship the code)
 _CLASS_CURIES = [
     "prov:Entity", "prov:Activity", "prov:Agent", "prov:Generation",
@@ -291,25 +139,18 @@ _CLASS_URIS = [prov.expand(c, "") for c in _CLASS_CURIES]
 _CLASS_URI_TO_CODE = {u: str(i) for i, u in enumerate(_CLASS_URIS)}
 _CLASS_LUT = pa.array(_CLASS_URIS, pa.string())
 
-# Which exchange columns ship dictionary-encoded: "low" (default — only
-# the near-constant graph/obj_dtype), "all", or "none". Measured at
-# sf0.1×10 / 3.0M triples / 32 CPUs (back-to-back, same session):
-# low 41 s, none 75 s, all 277 s. Encoding the high-cardinality
-# s_local/o_val is catastrophic: their per-block dictionaries are nearly
-# row-unique (indices + full dictionary ≥ the plain column, so no byte
-# savings) and Ray's sort-based groupby shuffle re-unifies dictionaries
-# across every reduce-side chunk — the bucket shuffle alone ballooned to
-# 102 s. graph/obj_dtype dictionaries are tiny (≤ #graphs / #dtypes), so
-# unification is O(1) and the per-row win (~40-byte graph URI → 4-byte
-# code) is real.
-import os as _os
-
-_DICT_MODE = _os.environ.get("GITPROV_COMPACT_DICT", "low")
-_DICT_COLS = {
-    "all": ("graph", "s_local", "o_val", "obj_dtype"),
-    "low": ("graph", "obj_dtype"),
-    "none": (),
-}[_DICT_MODE]
+# The exchange columns that ship dictionary-encoded: only the near-constant
+# graph/obj_dtype. Measured at sf0.1×10 / 3.0M triples / 32 CPUs
+# (back-to-back, same session): this choice 41 s, no dictionary columns
+# 75 s, every string column dictionary-encoded 277 s. Encoding the
+# high-cardinality s_local/o_val is catastrophic: their per-block
+# dictionaries are nearly row-unique (indices + full dictionary ≥ the plain
+# column, so no byte savings) and Ray's sort-based groupby shuffle
+# re-unifies dictionaries across every reduce-side chunk — the bucket
+# shuffle alone ballooned to 102 s. graph/obj_dtype dictionaries are tiny
+# (≤ #graphs / #dtypes), so unification is O(1) and the per-row win
+# (~40-byte graph URI → 4-byte code) is real.
+_DICT_COLS = ("graph", "obj_dtype")
 
 COMPACT_SCHEMA = pa.schema([
     (n, pa.dictionary(pa.int32(), pa.string()) if n in _DICT_COLS else t)
@@ -349,53 +190,6 @@ def _decode_compact(t: pa.Table) -> pa.Table:
         if pa.types.is_dictionary(col.type):
             t = t.set_column(i, name, pc.cast(col, pa.string()))
     return t
-
-
-def compact_from_triples(batch: pa.Table) -> pa.Table:
-    """full TRIPLES rows → compact exchange rows (vectorized)."""
-    df = batch.to_pandas()
-    gp = _GP_PREFIX + df["graph"] + "#"
-    # subjects are always gp-namespaced: strip the per-row prefix
-    s_local = pd.Series([s[len(p):] for s, p in zip(df["subj"], gp)],
-                        index=df.index)
-
-    pred_code = df["pred"].map(_URI_TO_CODE)
-    missing = pred_code.isna()
-    if missing.any():
-        # gitprov:* preds: URI = gp + local
-        loc = pd.Series([s[len(p):] for s, p in
-                         zip(df["pred"][missing], gp[missing])],
-                        index=df.index[missing])
-        pred_code.loc[missing] = loc.map(
-            lambda l: _PRED_CODE["gitprov:" + l])
-    pred_code = pred_code.astype("int8")
-
-    is_lit = df["obj_is_literal"].to_numpy()
-    obj = df["obj"]
-    gp_arr = gp.to_numpy()
-    o_val = obj.to_numpy(dtype=object).copy()
-    kind = np.zeros(len(df), dtype=np.int8)
-    for i, (lit, o, p) in enumerate(zip(is_lit, obj, gp_arr)):
-        if lit:
-            kind[i] = 0
-        elif o.startswith(p):
-            kind[i] = 1
-            o_val[i] = o[len(p):]
-        else:
-            code = _CLASS_URI_TO_CODE.get(o)
-            if code is not None:
-                kind[i] = 3
-                o_val[i] = code
-            else:
-                kind[i] = 2
-    return _encode_compact(pa.table({
-        "graph": pa.array(df["graph"]),
-        "s_local": pa.array(s_local),
-        "pred_code": pa.array(pred_code, type=pa.int8()),
-        "obj_kind": pa.array(kind, type=pa.int8()),
-        "o_val": pa.array(o_val, type=pa.string()),
-        "obj_dtype": pa.array(df["obj_dtype"]),
-    }))
 
 
 _COMPACT_KEY = ["graph", "s_local", "pred_code", "obj_kind", "o_val"]
@@ -464,9 +258,9 @@ def expand_compact(t: pa.Table) -> pa.Table:
 def _dedup_expand_sort_group(t: pa.Table) -> pa.Table:
     """One compact bucket → hash-distinct on the compact key (Arrow C++
     group_by, no sort) → expand URIs (Arrow kernels) → ONE in-partition
-    sort on the full triple key (same partition content and order as the
-    full-width exchange). The earlier shape sorted twice (compact for
-    adjacency-dedup, then full) — half the sort work for the same rows."""
+    sort on the full triple key. The earlier shape sorted twice (compact
+    for adjacency-dedup, then full) — half the sort work for the same
+    rows."""
     if isinstance(t, pd.DataFrame):
         t = pa.Table.from_pandas(t, preserve_index=False).replace_schema_metadata(None)
     if "bucket" in t.column_names:
@@ -477,16 +271,6 @@ def _dedup_expand_sort_group(t: pa.Table) -> pa.Table:
              .aggregate([])
     full = expand_compact(t)
     return full.sort_by([(c, "ascending") for c in _KEY_COLS])
-
-
-def dedup_triples_compact(triples_ds, num_buckets: int = 64):
-    """Compact-exchange variant of dedup_triples (same output rows)."""
-    compact = triples_ds.map_batches(compact_from_triples,
-                                     batch_format="pyarrow")
-    keyed = compact.map_batches(
-        lambda b: add_compact_bucket(b, num_buckets), batch_format="pyarrow")
-    return keyed.groupby("bucket").map_groups(
-        _dedup_expand_sort_group, batch_format="pyarrow")
 
 
 _LABEL_PAT = r'^\{"prov:label": \["(?P<lab>.*)", "xsd:string"\]\}$'
@@ -519,7 +303,7 @@ def _json_unescape(arr: pa.Array) -> pa.Array:
 def _iso_arrow(ts) -> pa.Array:
     """Vectorized Python-isoformat-compatible rendering of timestamp[us]:
     no fractional part when microseconds are zero, 6 digits otherwise
-    (byte-identical to datetime.isoformat(), pinned by the twin tests)."""
+    (byte-identical to datetime.isoformat(), pinned by test_flatten_vec.py)."""
     if isinstance(ts, pa.ChunkedArray):
         ts = ts.combine_chunks()
     full = pc.strftime(ts, format="%Y-%m-%dT%H:%M:%S")  # %S carries .ffffff
@@ -531,8 +315,9 @@ def _iso_arrow(ts) -> pa.Array:
 
 def flatten_batch_compact(batch: pa.Table) -> pa.Table:
     """STATEMENTS batch → COMPACT triple rows directly (statements already
-    carry graph-local ids, so no URI is ever built pre-shuffle). Tested
-    equal to flatten_batch after expand_compact.
+    carry graph-local ids, so no URI is ever built pre-shuffle). Pinned by
+    test_flatten_vec.py: after expand_compact it equals
+    ``prov.statement_to_triples`` over the oracle's statements.
 
     Structural rows are pure Arrow kernel work (filter / repeat / strftime
     / hash-distinct) — the statements' id/subj/obj columns pass through
@@ -703,14 +488,12 @@ def flatten_batch_compact(batch: pa.Table) -> pa.Table:
     return _encode_compact(tri)
 
 
-def statements_to_triples_compact(statements_ds, num_buckets: int = 64,
-                                  sort: bool = False):
-    """statements → compact exchange → dedup → expanded sorted partitions.
-    Same final rows as statements_to_triples with ~60% fewer shuffle bytes."""
+def statements_to_triples_compact(statements_ds, num_buckets: int = 64):
+    """statements → compact exchange → dedup → expanded partitions, each
+    sorted by the triple key (no global order across partitions)."""
     compact = statements_ds.map_batches(flatten_batch_compact,
                                         batch_format="pyarrow")
     keyed = compact.map_batches(
         lambda b: add_compact_bucket(b, num_buckets), batch_format="pyarrow")
-    ds = keyed.groupby("bucket").map_groups(
+    return keyed.groupby("bucket").map_groups(
         _dedup_expand_sort_group, batch_format="pyarrow")
-    return sorted_triples(ds) if sort else ds

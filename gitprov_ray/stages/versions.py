@@ -42,7 +42,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .. import prov, schemas
+from .. import schemas
 
 LAG_COLUMNS = ["graph", "page_key", "snapshot_id", "ts", "change_status",
                "event_seq", "additions", "changes", "deletions"]
@@ -94,43 +94,18 @@ def version_lag_group(df: pd.DataFrame) -> pd.DataFrame:
     emitter (wasGeneratedBy / wasInvalidatedBy / used / wasDerivedFrom).
 
     Quirk-4 policy: 'modified' with no prior version → generation only, no
-    usage/derivation (counted upstream in metrics)."""
+    usage/derivation (counted by checkpoint._run_metrics as
+    ``modified_without_prior_quarantined``)."""
     if len(df) == 0:
         return _EMPTY.copy()
     return _emit_status_stmts_vec(dedup_lag(df))
 
 
-def _emit_status_stmts_rows(d: pd.DataFrame) -> pd.DataFrame:
-    """Row-at-a-time reference emit over deduped+lagged rows (kept as the
-    readable reference implementation for the parity test)."""
-    ts_py = [x.to_pydatetime() for x in d["ts"]]
-    stmts: list[dict] = []
-    for graph, f, sha, parent, t, status, a, c, dl in zip(
-        d["graph"].to_numpy(dtype=object), d["page_key"].to_numpy(dtype=object),
-        d["snapshot_id"].to_numpy(dtype=object), d["parent"].to_numpy(dtype=object),
-        ts_py, d["change_status"].to_numpy(dtype=object),
-        d["additions"].to_numpy(), d["changes"].to_numpy(),
-        d["deletions"].to_numpy(),
-    ):
-        if status == "added" or status == "modified":
-            stmts.append(prov.stmt_generation(graph, f, sha, t))
-        elif status == "removed":
-            stmts.append(prov.stmt_invalidation(graph, f, sha, t))
-        if status == "modified" and parent is not None and not pd.isna(parent):
-            stmts.append(prov.stmt_used(graph, f, sha, parent, t))
-            stmts.append(prov.stmt_derivation(graph, f, sha, parent, a, c, dl))
-
-    if not stmts:
-        return _EMPTY.copy()
-    out = pd.DataFrame.from_records(stmts)
-    out["t"] = pd.to_datetime(out["t"])
-    out["stmt_rank"] = out["stmt_rank"].astype("int32")
-    return out
-
-
 def _emit_status_stmts_vec(d: pd.DataFrame) -> pd.DataFrame:
-    """Vectorized twin of _emit_status_stmts_rows (same distributive-escape
-    invariants as emit_stateless_vec; byte-exact attrs JSON template)."""
+    """Deduped+lagged rows → status-dependent STATEMENT rows, vectorized
+    (same distributive-escape invariants as emit.emit_stateless_arrow;
+    byte-exact attrs JSON template). Pinned by test_emit_vec.py multiset
+    parity against ``oracle.build_statements``."""
     from .. import idgen
     from ..schemas import STMT_RANK
 

@@ -44,7 +44,8 @@ def write_store(triples_ds, root: str, skip_existing: bool = False,
     The dataset is written to a staging directory first; each graph
     partition is then moved into place with an atomic rename (replacing any
     prior version of that graph — the reference's replace-on-store
-    semantics). Returns {graph: rows} for the written partitions.
+    semantics). Returns {graph: rows} for the written partitions; an empty
+    dataset writes nothing and returns {} (the store is left unchanged).
     """
     os.makedirs(root, exist_ok=True)
     existing = set(list_graphs(root)) if skip_existing else set()
@@ -60,6 +61,8 @@ def write_store(triples_ds, root: str, skip_existing: bool = False,
         withpart.write_parquet(staging, partition_cols=["gpart"],
                                compression="zstd")
         written: dict[str, int] = {}
+        if not os.path.isdir(staging):  # empty dataset: no files written
+            return written
         for entry in sorted(os.listdir(staging)):
             if not entry.startswith(_PART_PREFIX):
                 continue

@@ -5,8 +5,8 @@
 2. a page listing the same resource twice with conflicting statuses keeps
    only the first event's status statements (oracle seen_files semantics),
    deterministically, regardless of shuffle order;
-3. the vectorized emit twin renders non-ASCII attrs byte-identically to the
-   row twin (ensure_ascii divergence);
+3. the Arrow emitter renders non-ASCII attrs byte-identically to the
+   oracle (ensure_ascii divergence);
 4. a self-closing drop tag (<script src="x"/>) must not swallow the rest of
    the page's text;
 5. the checkpoint fingerprint detects a same-size middle-of-file edit.
@@ -18,6 +18,8 @@ import pytest
 
 from gitprov_ray import oracle, schemas
 from gitprov_ray.stages import emit, versions
+
+from oracle_parity import STATELESS, oracle_statements, stmt_rows
 
 T0 = pd.Timestamp("2020-01-01 00:00:00")
 
@@ -111,14 +113,11 @@ def test_duplicate_event_conflicting_counters_deterministic():
 def test_emit_vec_non_ascii_graph_byte_identical():
     rows = [_rev(graph="münchen.example")]
     batch = pa.Table.from_pylist(rows, schema=schemas.REVISIONS)
-    agents = emit.agents_index(CONTRIB)
-    ref = emit.EmitStateless(agents)(batch).to_pandas()
-    vec = emit.emit_stateless_vec(batch, agents).to_pandas()
-    cols = sorted(ref.columns)
-    a = sorted(map(tuple, ref[cols].astype(str).itertuples(index=False)))
-    b = sorted(map(tuple, vec[cols].astype(str).itertuples(index=False)))
-    assert a == b
-    act = ref[ref["stmt_type"] == "activity"]["attrs"].iloc[0]
+    got = emit.emit_stateless_arrow(batch, emit.agents_index(CONTRIB))
+    gold = oracle_statements(batch, _graph_contrib(rows), STATELESS)
+    assert set(stmt_rows(got)) == set(stmt_rows(gold))
+    act = next(r["attrs"] for r in got.to_pylist()
+               if r["stmt_type"] == "activity")
     assert "münchen" in act and "\\u" not in act
 
 
@@ -143,17 +142,16 @@ def test_fingerprint_detects_middle_edit(tmp_path):
     assert fp1 != fp2
 
 
-def test_json_quote_series_null_matches_row_twin():
+def test_json_quote_arrow_null_matches_json_dumps():
     """Round-2 review finding: null labels must render as json.dumps(None)
     ('null'), and mixed null/special batches must not crash the mask."""
     import json
 
-    from gitprov_ray.stages.emit import _json_quote_series
+    from gitprov_ray.stages.emit import _json_quote_arrow
 
-    s = pd.Series(["plain", None, 'has "quote"', None], dtype=object)
-    got = _json_quote_series(s)
-    exp = s.map(lambda v: json.dumps(v, ensure_ascii=False))
-    assert list(got) == list(exp)
+    vals = ["plain", None, 'has "quote"', None]
+    got = _json_quote_arrow(pa.array(vals, pa.string()))
+    assert got.to_pylist() == [json.dumps(v, ensure_ascii=False) for v in vals]
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -1,63 +1,24 @@
-"""Compact-id dedup exchange must produce the same final triples as the
-full-width exchange."""
+"""The compact exchange rows must expand back to the oracle's triples
+(``prov.statement_to_triples``), and be narrower than full-width triples."""
 
 import pyarrow as pa
-import pytest
 
-from gitprov_ray import synth
-from gitprov_ray.stages import emit, triples as T, versions
+from gitprov_ray import schemas, synth
+from gitprov_ray.stages import triples as T
 
-
-def _stmts():
-    _, revisions, contributors = synth.gen_corpus(12, seed=42)
-    agents = emit.agents_index(contributors.to_pylist())
-    stateless = emit.emit_stateless_vec(revisions.combine_chunks(), agents)
-    agent_stmts = emit.emit_agents_table(contributors.to_pylist())
-    ver = versions.version_lag_group(
-        revisions.select(versions.LAG_COLUMNS).to_pandas())
-    from gitprov_ray.util import pandas_to_arrow
-    from gitprov_ray import schemas
-
-    return pa.concat_tables([stateless, agent_stmts,
-                             pandas_to_arrow(ver, schemas.STATEMENTS)])
-
-
-def _norm(t: pa.Table):
-    df = t.to_pandas().astype(str)
-    return sorted(map(tuple, df[sorted(df.columns)].itertuples(index=False)))
+from oracle_parity import (engine_statements, oracle_statements,
+                           oracle_triples, triple_rows)
 
 
 def test_compact_flatten_expand_roundtrip():
-    stmts = _stmts()
-    full = T.flatten_batch(stmts)
-    compact = T.flatten_batch_compact(stmts)
-    assert _norm(T.expand_compact(compact)) == _norm(full)
+    _, revisions, contributors = synth.gen_corpus(12, seed=42)
+    contributors = contributors.to_pylist()
+    expected = oracle_triples(oracle_statements(revisions, contributors))
+    compact = T.flatten_batch_compact(engine_statements(revisions, contributors))
+    got = triple_rows(T.expand_compact(compact))
+    assert len(got) == len(set(got)) and set(got) == expected
     # the compact exchange really is narrower
+    full = pa.Table.from_pylist(
+        [dict(zip(schemas.TRIPLES.names, t)) for t in expected],
+        schema=schemas.TRIPLES)
     assert compact.nbytes < 0.65 * full.nbytes
-
-
-def test_compact_roundtrip_via_triples():
-    stmts = _stmts()
-    full = T.flatten_batch_vec(stmts)
-    again = T.expand_compact(T.compact_from_triples(full))
-    assert _norm(again) == _norm(full)
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_compact_pipeline_equals_full(tiny_corpus):
-    import ray.data as rd
-    from gitprov_ray.pipelines import flagship
-    from gitprov_ray.stages import triples as TT
-
-    pages, _, contributors = tiny_corpus
-    revs = flagship.revisions_from_pages(rd.from_arrow(pages)).materialize()
-    stmts = flagship.statements_from_revisions(revs, contributors.to_pylist(),
-                                               num_buckets=4)
-    a = TT.statements_to_triples(stmts, num_buckets=4).to_pandas()
-    stmts2 = flagship.statements_from_revisions(revs, contributors.to_pylist(),
-                                                num_buckets=4)
-    b = TT.statements_to_triples_compact(stmts2, num_buckets=4).to_pandas()
-    ka = set(zip(a.graph, a.subj, a.pred, a.obj, a.obj_is_literal, a.obj_dtype))
-    kb = set(zip(b.graph, b.subj, b.pred, b.obj, b.obj_is_literal, b.obj_dtype))
-    assert ka == kb
-    assert len(a) == len(b)

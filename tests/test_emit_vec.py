@@ -1,73 +1,43 @@
-"""Vectorized emitter must equal the row-at-a-time reference emitter
-byte-for-byte (as a statement multiset), incl. edge-case filenames."""
+"""The emit kernels must equal the oracle per batch: stateless statements
+(``emit_stateless_arrow``) as a set — the engine emits one base-entity
+candidate per event and relies on the triple dedup — and status-dependent
+statements (``versions._emit_status_stmts_vec``) as a multiset."""
 
-import pandas as pd
+from collections import Counter
+
 import pyarrow as pa
 import pytest
 
-from gitprov_ray import schemas
+from gitprov_ray import schemas, synth
 from gitprov_ray.stages import emit
 
+from oracle_parity import (STATELESS, STATUS, edge_case_batch,
+                           oracle_statements, status_statements, stmt_rows)
 
-def _batch_from(revisions: pa.Table) -> pa.Table:
-    return revisions
 
-
-def _norm(t: pa.Table) -> list[tuple]:
-    df = t.to_pandas().astype(str)
-    return sorted(map(tuple, df[sorted(df.columns)].itertuples(index=False)))
+def _assert_stateless_parity(batch: pa.Table, contributors: list[dict]):
+    got = emit.emit_stateless_arrow(batch.combine_chunks(),
+                                    emit.agents_index(contributors))
+    assert got.schema.equals(schemas.STATEMENTS)
+    assert set(stmt_rows(got)) == set(stmt_rows(
+        oracle_statements(batch, contributors, STATELESS)))
 
 
 @pytest.mark.parametrize("n_urls", [6, 12])
-def test_emit_vec_parity(n_urls, tiny_corpus):
-    from gitprov_ray import synth
-
+def test_emit_vec_parity(n_urls):
     _, revisions, contributors = synth.gen_corpus(n_urls, seed=7 + n_urls)
-    agents = emit.agents_index(contributors.to_pylist())
-    batch = revisions.combine_chunks()
-    ref = emit.EmitStateless(agents)(batch)
-    vec = emit.emit_stateless_vec(batch, agents)
-    arrow = emit.emit_stateless_arrow(batch, agents)
-    assert _norm(ref) == _norm(vec)
-    assert _norm(ref) == _norm(arrow)
-    assert arrow.schema.equals(ref.schema)
+    _assert_stateless_parity(revisions, contributors.to_pylist())
 
 
 def test_emit_arrow_edge_cases():
-    """Arrow emitter vs row reference on hostile inputs: JSON-escapable
-    labels/filenames, null author (ST2 fallback), null label, multi-parent
-    and empty/null parents lists, duplicate (graph, sha) across files."""
-    import datetime as dt
-
-    rows = []
-    ts = dt.datetime(2024, 1, 2, 3, 4, 5)
-    for i, (f, label, author, parents) in enumerate([
-        ('dir/a "quoted".txt', 'msg with "quotes" and \\slash', "alice", ["p1"]),
-        ("dir/a b.txt", "tab\there\nnewline", None, ["p1", "p2"]),
-        ("unicode-café.md", "café ünïcode", "bob", []),
-        ("dir/a b.txt", None, None, None),
-        ("ctrl\x01char", "c\x02d", "alice", ["p1"]),
-    ]):
-        rows.append({
-            "graph": "g%d.example" % (i % 2), "page_key": f,
-            "snapshot_id": "sha%04d" % (i % 3), "ts": ts,
-            "author": author, "author_name": "Alice Smith", "label": label,
-            "change_status": "modified", "event_seq": i,
-            "additions": 1, "changes": 1, "deletions": 0,
-            "parents": parents, "url": "https://x/%d" % i})
-    batch = pa.Table.from_pylist(rows, schema=schemas.REVISIONS)
-    agents = {"g0.example": [("alice", "Alice Smith")],
-              "g1.example": [("bob", None), ("alice", "Alice Smith")]}
-    ref = emit.EmitStateless(agents)(batch)
-    arrow = emit.emit_stateless_arrow(batch, agents)
-    assert _norm(ref) == _norm(arrow)
+    batch, contributors = edge_case_batch()
+    _assert_stateless_parity(batch, contributors)
+    agents = emit.agents_index(contributors)
     assert emit.emit_stateless_arrow(batch.slice(0, 0), agents).num_rows == 0
 
 
 def test_emit_vec_parity_docs_derived():
     import pyarrow.parquet as pq
-    from gitprov_ray import synth
-    from gitprov_ray.pipelines import flagship
 
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet").to_pylist()
     rows = []
@@ -75,24 +45,27 @@ def test_emit_vec_parity_docs_derived():
         rows.extend(synth.revisions_rows_from_doc_row(
             d["doc_id"], d["text"] or "", d["lang"], d["source"]))
     batch = pa.Table.from_pylist(rows, schema=schemas.REVISIONS)
-    agents = emit.agents_index(flagship.contributors_for_sf("/root/testdata/sf0.001"))
-    ref = emit.EmitStateless(agents)(batch)
-    vec = emit.emit_stateless_vec(batch, agents)
-    assert _norm(ref) == _norm(vec)
+    graphs = sorted({f"{d['source']}.example" for d in docs})
+    _assert_stateless_parity(
+        batch, synth.contributors_for_sources(graphs).to_pylist())
+
+
+def _assert_status_parity(revisions: pa.Table, contributors: list[dict]):
+    expected = oracle_statements(revisions, contributors, STATUS)
+    got = status_statements(revisions)
+    assert Counter(stmt_rows(got)) == Counter(stmt_rows(expected))
+    return {s["stmt_type"] for s in expected}
 
 
 def test_version_stmts_vec_parity():
-    from gitprov_ray import synth
-    from gitprov_ray.stages import versions
+    _, revisions, contributors = synth.gen_corpus(14, seed=3)
+    kinds = _assert_status_parity(revisions, contributors.to_pylist())
+    # the batch must exercise every status-dependent emitter
+    assert kinds == STATUS
 
-    _, revisions, _ = synth.gen_corpus(14, seed=3)
-    d = versions.dedup_lag(revisions.select(versions.LAG_COLUMNS).to_pandas())
-    # the deduped bucket must exercise every status-dependent emitter
-    assert ((d["change_status"] == "modified") & d["parent"].notna()).any()
-    assert (d["change_status"] == "removed").any()
-    a = versions._emit_status_stmts_rows(d).astype(str)
-    b = versions._emit_status_stmts_vec(d).astype(str)
-    cols = sorted(a.columns)
-    na = sorted(map(tuple, a[cols].itertuples(index=False)))
-    nb = sorted(map(tuple, b[cols].itertuples(index=False)))
-    assert na == nb
+
+def test_version_stmts_edge_cases():
+    # one filename touched by two commits of one graph → usage/derivation
+    # over hostile filenames
+    kinds = _assert_status_parity(*edge_case_batch())
+    assert {"used", "wasDerivedFrom"} <= kinds

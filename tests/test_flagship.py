@@ -20,22 +20,21 @@ def _keys(df: pd.DataFrame):
     return set(zip(df.graph, df.subj, df.pred, df.obj))
 
 
-def _golden_keys(revisions, contributors):
-    from gitprov_ray import oracle
-
-    golden, _ = oracle.build_triples(revisions.to_pylist(),
-                                     contributors.to_pylist())
-    return {(t["graph"], t["subj"], t["pred"], t["obj"]) for t in golden}
+_ROW = ["subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph"]
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_engine_matches_oracle_exactly(tiny_corpus):
+    from gitprov_ray import oracle
+
     pages, revisions, contributors = tiny_corpus
     engine = _engine_triples(pages, contributors)
-    ek, gk = _keys(engine), _golden_keys(revisions, contributors)
-    assert ek == gk  # P = R = 1.0
+    golden, _ = oracle.build_triples(revisions.to_pylist(),
+                                     contributors.to_pylist())
+    rows = set(map(tuple, engine[_ROW].itertuples(index=False)))
+    assert rows == {tuple(t[c] for c in _ROW) for t in golden}  # P = R = 1.0
     # engine output itself is exactly deduplicated
-    assert len(engine) == len(ek)
+    assert len(engine) == len(_keys(engine)) == len(rows)
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -53,18 +52,18 @@ def test_order_insensitivity(tiny_corpus):
 
 @pytest.mark.usefixtures("ray_session")
 def test_sorted_deterministic_output(tiny_corpus):
-    """With sort=True the output is globally totally ordered; the default
-    (partition-sorted) output is covered by test_engine_matches_oracle."""
+    """The output is sorted per dedup bucket: read in block order, the rows
+    form at most ``num_buckets`` ascending runs of the triple key."""
     import ray.data as rd
     from gitprov_ray.pipelines import flagship
 
     pages, _, contributors = tiny_corpus
     ds = flagship.triples_from_pages(rd.from_arrow(pages),
-                                     contributors.to_pylist(),
-                                     num_buckets=8, sort=True)
+                                     contributors.to_pylist(), num_buckets=8)
     df = ds.to_pandas()
-    key = df[["graph", "subj", "pred", "obj"]].apply(tuple, axis=1)
-    assert list(key) == sorted(key)
+    key = list(df[["graph", "subj", "pred", "obj"]].itertuples(index=False))
+    descents = sum(b < a for a, b in zip(key, key[1:]))
+    assert len(key) > 8 and descents < 8
 
 
 @pytest.mark.usefixtures("ray_session")

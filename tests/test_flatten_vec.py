@@ -1,26 +1,34 @@
-"""Vectorized flatten must equal the per-row flatten (multiset of triples)."""
+"""The compact flatten kernel must equal ``prov.statement_to_triples`` per
+batch: ``expand_compact(flatten_batch_compact(·))`` over the engine's
+statements for a batch, and over the oracle's, gives the oracle's triple
+set with no duplicate rows (the local combiner dedups)."""
 
 import pyarrow as pa
 
-from gitprov_ray import synth
-from gitprov_ray.stages import emit, triples as T, versions
+from gitprov_ray import schemas, synth
+from gitprov_ray.stages import triples as T
+
+from oracle_parity import (edge_case_batch, engine_statements,
+                           oracle_statements, oracle_triples, triple_rows)
 
 
-def _norm(t: pa.Table):
-    df = t.to_pandas().astype(str)
-    return sorted(map(tuple, df[sorted(df.columns)].itertuples(index=False)))
+def _assert_flatten_parity(revisions: pa.Table, contributors: list[dict]):
+    oracle_stmts = oracle_statements(revisions, contributors)
+    expected = oracle_triples(oracle_stmts)
+    engine_stmts = engine_statements(revisions, contributors)
+    for stmts in (engine_stmts,
+                  pa.Table.from_pylist(oracle_stmts, schema=schemas.STATEMENTS)):
+        got = triple_rows(T.expand_compact(T.flatten_batch_compact(stmts)))
+        assert len(got) == len(set(got))
+        assert set(got) == expected
+    return set(engine_stmts.column("stmt_type").to_pylist())
 
 
 def test_flatten_vec_parity_all_types():
     _, revisions, contributors = synth.gen_corpus(12, seed=42)
-    agents = emit.agents_index(contributors.to_pylist())
-    stateless = emit.emit_stateless_vec(revisions.combine_chunks(), agents)
-    agent_stmts = emit.emit_agents_table(contributors.to_pylist())
-    ver = versions.version_lag_group(
-        revisions.select(versions.LAG_COLUMNS).to_pandas())
-    from gitprov_ray.util import pandas_to_arrow
-    from gitprov_ray import schemas
+    kinds = _assert_flatten_parity(revisions, contributors.to_pylist())
+    assert kinds == set(schemas.STMT_RANK)
 
-    stmts = pa.concat_tables([stateless, agent_stmts,
-                              pandas_to_arrow(ver, schemas.STATEMENTS)])
-    assert _norm(T.flatten_batch(stmts)) == _norm(T.flatten_batch_vec(stmts))
+
+def test_flatten_compact_edge_cases():
+    _assert_flatten_parity(*edge_case_batch())

@@ -127,19 +127,19 @@ def test_sparql_parser_never_crashes_unexpectedly(q):
         pass            # the one sanctioned failure mode for garbage input
 
 
-@given(st.lists(st.text(max_size=40), min_size=1, max_size=30))
+@given(st.lists(st.one_of(st.none(), st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=40)),
+    min_size=1, max_size=30))
 @settings(max_examples=150, deadline=None)
-def test_json_quote_series_matches_json_dumps(vals):
+def test_json_quote_arrow_matches_json_dumps(vals):
     import json
 
-    import pandas as pd
+    import pyarrow as pa
 
-    from gitprov_ray.stages.emit import _json_quote_series
+    from gitprov_ray.stages.emit import _json_quote_arrow
 
-    s = pd.Series(vals, dtype=object)
-    got = _json_quote_series(s)
-    exp = s.map(lambda v: json.dumps(v, ensure_ascii=False))
-    assert (got == exp).all()
+    got = _json_quote_arrow(pa.array(vals, pa.string()))
+    assert got.to_pylist() == [json.dumps(v, ensure_ascii=False) for v in vals]
 
 
 @given(st.binary(min_size=0, max_size=400))

@@ -1,5 +1,7 @@
 """Store roundtrip, serializer, N-Triples parse, SPARQL-lite tests."""
 
+import os
+
 import pandas as pd
 import pytest
 
@@ -362,3 +364,39 @@ def test_serialize_results_dispatch_and_quirk():
         df, "application/sparql-results+xml") == serializers.result_json(df)
     with pytest.raises(ValueError):
         serializers.serialize_results(df, "application/unknown")
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_write_store_empty_dataset_is_noop(tmp_path):
+    """An empty triples dataset writes no files: write_store returns {} and
+    leaves an existing store as it was — both for an empty table and for
+    the flagship over pages with no revision markers and no contributors."""
+    import datetime as dt
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gitprov_ray import schemas, store
+    from gitprov_ray.pipelines import flagship
+
+    root = str(tmp_path / "store")
+    one = pa.Table.from_pylist(
+        [{"subj": "s", "pred": "p", "obj": "o", "obj_is_literal": False,
+          "obj_dtype": "", "graph": "g.example"}], schema=schemas.TRIPLES)
+    assert store.write_store(rd.from_arrow(one), root) == {"g.example": 1}
+    assert store.write_store(rd.from_arrow(schemas.TRIPLES.empty_table()),
+                             root) == {}
+    assert store.list_graphs(root) == ["g.example"]
+
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(pa.table({
+        "url": ["https://a.example/p0", "https://b.example/p1"],
+        "warc_ts": pa.array([dt.datetime(2024, 1, 1)] * 2, pa.timestamp("us")),
+        "html": [b"<html><body><p>boilerplate only</p></body></html>", b""],
+    }), pages)
+    tri = flagship.flagship_from_pages_parquet(pages, [], num_buckets=4)
+    assert store.write_store(tri, root) == {}
+    assert store.list_graphs(root) == ["g.example"]
+    assert store.read_store(root).count() == 1
+    assert [e for e in os.listdir(root) if e.startswith(".staging")] == []
