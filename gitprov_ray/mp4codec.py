@@ -8,19 +8,16 @@ samples) → per-sample (offset, size, time) without decoding anything.
 
 The PIXEL layer is real for Motion-JPEG tracks (sample entry ``jpeg`` /
 ``mjpa`` — every sample is an ITU-T T.81 bitstream handed to
-``jpegcodec.decode_jpeg``, which this engine implements in pure numpy)
-and for ``avc1``/H.264 tracks whose macroblocks are I_PCM (h264codec:
-real NAL/avcC/SPS/PPS/slice layers; predicted macroblocks raise naming
-CAVLC/CABAC). Other inter-coded codecs (``hev1``/HEVC, ``vp09``,
-``av01``) cannot be implemented without an external decoder in this
-container and raise ``NotImplementedError`` naming the codec — but
-``probe_mp4`` still returns their full track metadata and sample
-layout, so the engine's FrameSample stage can demux + report even what
-it cannot rasterize.
+``jpegcodec.decode_jpeg``, which this engine implements in pure numpy).
+Every other video codec (``avc1``/H.264, ``hev1``/HEVC, ``vp09``,
+``av01``) needs an external decoder and raises ``NotImplementedError``
+naming the codec — but ``probe_mp4`` still returns its full track
+metadata and sample layout, so the engine's FrameSample stage can demux
++ report even what it cannot rasterize.
 
-The writers (``encode_mp4_mjpeg``, ``encode_mp4_h264_ipcm``,
-``encode_mp4_pcm``) emit minimal valid single-track MP4s so tests
-round-trip real container bitstreams without vendored assets.
+The writers (``encode_mp4_mjpeg``, ``encode_mp4_pcm``) emit minimal
+valid single-track MP4s so tests round-trip real container bitstreams
+without vendored assets.
 
 Reference semantics: the reference engine treats video payloads as
 opaque binary + demuxed frames (SURVEY.md §2 multimodal rows); this
@@ -214,29 +211,13 @@ def probe_mp4(b: bytes) -> dict:
     return movie
 
 
-def _find_avcc(entry_body: bytes) -> bytes | None:
-    """avcC child box inside an avc1 VisualSampleEntry body (fields take
-    78 bytes after the entry's own 8-byte header, already stripped)."""
-    pos = 78
-    while pos + 8 <= len(entry_body):
-        size = struct.unpack(">I", entry_body[pos:pos + 4])[0]
-        if size < 8:
-            return None
-        if entry_body[pos + 4:pos + 8] == b"avcC":
-            return entry_body[pos + 8:pos + size]
-        pos += size
-    return None
-
-
 def decode_mp4_frames(b: bytes) -> list[np.ndarray]:
-    """MJPEG-in-MP4 and I_PCM-H.264-in-MP4 → list of uint8 frames
-    ((H,W) or (H,W,3)).
+    """MJPEG-in-MP4 → list of uint8 frames ((H,W) or (H,W,3)).
 
-    avc1 tracks route through h264codec (REAL NAL/SPS/PPS/slice layers;
-    I_PCM macroblocks decode, predicted macroblocks raise naming CAVLC/
-    CABAC). Other inter-coded tracks (hev1/vp09/av01) raise naming the
-    codec; ``ValueError`` if no video track exists."""
-    from . import h264codec, jpegcodec
+    Every other video codec (``avc1``, ``hev1``, ``vp09``, ``av01``)
+    raises ``NotImplementedError`` naming the codec; ``ValueError`` if no
+    video track exists."""
+    from . import jpegcodec
 
     movie = probe_mp4(b)
     video = [t for t in movie["tracks"] if t["handler"] == "vide"]
@@ -244,20 +225,10 @@ def decode_mp4_frames(b: bytes) -> list[np.ndarray]:
         raise ValueError("no video track in MP4")
     track = video[0]
     codec = (track["codec"] or "?").lower()
-    if codec == "avc1":
-        avcc = _find_avcc(track.get("entry_body", b""))
-        if avcc is None:
-            raise ValueError("avc1 track without avcC configuration")
-        samples = []
-        for off, size in track["samples"]:
-            if off + size > len(b):
-                raise ValueError("sample extends past end of file")
-            samples.append(bytes(b[off:off + size]))
-        return h264codec.decode_avcc(avcc, samples)
     if codec not in _MJPEG_FOURCC:
         raise NotImplementedError(
             f"MP4 video codec {codec!r} requires an external decoder "
-            "(Motion-JPEG and I_PCM H.264 tracks decode in pure Python)")
+            "(only Motion-JPEG tracks decode in pure Python)")
     frames = []
     for off, size in track["samples"]:
         if off + size > len(b):
@@ -401,148 +372,6 @@ def encode_mp4_mjpeg(frames: list[np.ndarray], fps: int = 10,
                  + b"".join(struct.pack(">I", len(s)) for s in samples))
     stco = _full(b"stco", 0, 0, struct.pack(">II", 1, first_sample_off))
     stbl = _box(b"stbl", stsd + stts + stsc + stsz + stco)
-    vmhd = _full(b"vmhd", 0, 1, struct.pack(">HHHH", 0, 0, 0, 0))
-    dref = _full(b"dref", 0, 0, struct.pack(">I", 1)
-                 + _full(b"url ", 0, 1, b""))
-    minf = _box(b"minf", vmhd + _box(b"dinf", dref) + stbl)
-    mdhd = _full(b"mdhd", 0, 0, struct.pack(">IIIIHH", 0, 0, timescale,
-                                            duration, 0x55C4, 0))
-    hdlr = _full(b"hdlr", 0, 0, struct.pack(">I", 0) + b"vide"
-                 + b"\0" * 12 + b"VideoHandler\0")
-    mdia = _box(b"mdia", mdhd + hdlr + minf)
-    tkhd = _full(b"tkhd", 0, 3, struct.pack(">IIII", 0, 0, 1, 0)
-                 + struct.pack(">I", duration) + b"\0" * 8
-                 + struct.pack(">hhhh", 0, 0, 0, 0) + _UNITY_MATRIX
-                 + struct.pack(">II", w << 16, h << 16))
-    trak = _box(b"trak", tkhd + mdia)
-    mvhd = _full(b"mvhd", 0, 0, struct.pack(">IIII", 0, 0, timescale,
-                                            duration)
-                 + struct.pack(">IH", 0x00010000, 0x0100) + b"\0" * 10
-                 + _UNITY_MATRIX + b"\0" * 24 + struct.pack(">I", 2))
-    moov = _box(b"moov", mvhd + trak)
-    return ftyp + _box(b"mdat", mdat_payload) + moov
-
-
-def encode_mp4_h264_ipcm(frames: list[np.ndarray], fps: int = 10) -> bytes:
-    """uint8 RGB frames → single-track avc1 MP4 whose samples are
-    conforming H.264 IDR pictures of I_PCM macroblocks (h264codec) —
-    a REAL avc1 path through the engine's own stack."""
-    from . import h264codec
-
-    samples = h264codec.encode_samples(frames)
-    return _build_mp4_avc1(frames, samples, fps)
-
-
-def encode_mp4_h264_cavlc(frames: list[np.ndarray], fps: int = 10,
-                          qp: int = 26):
-    """uint8 RGB frames → (avc1 MP4 of CAVLC intra-coded IDR pictures,
-    expected reconstructed frames). The reconstruction is what a
-    conforming decoder outputs (h264codec.encode_samples_cavlc) — the
-    pixel-exact target for FrameSample tests."""
-    from . import h264codec
-
-    samples, recons = h264codec.encode_samples_cavlc(frames, qp=qp)
-    return _build_mp4_avc1(frames, samples, fps), recons
-
-
-def encode_mp4_h264_gop(frames: list[np.ndarray], fps: int = 10,
-                        qp: int = 26, gop: int = 8,
-                        partition_cycle: bool = False,
-                        intra_every: int = 0, bframes: bool = False,
-                        deblock: bool = False, weighted: bool = False,
-                        cabac: bool = False, high_intra: bool = False):
-    """uint8 RGB frames → (avc1 MP4 with IDR+P(+B) GOP structure —
-    predicted macroblocks, CAVLC, h264inter — plus the conforming
-    decoder's expected reconstructions). stss marks only the IDR
-    samples, so seek paths see a REAL sync-sample table."""
-    from . import h264inter
-
-    if high_intra:
-        if bframes or deblock or weighted:
-            raise NotImplementedError(
-                "High-intra MP4 fixtures are all-IDR (no B/deblock/"
-                "weighted combination)")
-        import struct as _st
-
-        from . import h264cabac, h264codec, h264high
-
-        samples, recons, sync = [], [], []
-        for i, f in enumerate(frames):
-            if cabac:
-                rbsp, recon, _ = h264cabac.encode_i_slice_cabac(
-                    f, qp, idr_pic_id=i & 1, transform_8x8=True)
-            else:
-                rbsp, recon, _ = h264high.encode_i_slice_high(
-                    f, qp, idr_pic_id=i & 1)
-            nal = h264codec._nal(5, rbsp)
-            samples.append(_st.pack(">I", len(nal)) + nal)
-            recons.append(recon)
-            sync.append(True)
-        return _build_mp4_avc1(frames, samples, fps, sync=sync,
-                               cabac=cabac, high=True), recons
-    if cabac:
-        if deblock or weighted:
-            raise NotImplementedError(
-                "CABAC MP4 fixtures support IDR+P+B GOPs (no deblock/"
-                "weighted combination yet)")
-        from . import h264cabac
-
-        samples, recons, sync = h264cabac.encode_gop_cabac_samples(
-            frames, qp=qp, gop=gop, partition_cycle=partition_cycle,
-            intra_every=intra_every, bframes=bframes)
-        return _build_mp4_avc1(frames, samples, fps, sync=sync,
-                               num_ref=2 if bframes else 1,
-                               cabac=True), recons
-    samples, recons, sync = h264inter.encode_gop_samples(
-        frames, qp=qp, gop=gop, partition_cycle=partition_cycle,
-        intra_every=intra_every, bframes=bframes, deblock=deblock,
-        weighted=weighted)
-    return _build_mp4_avc1(frames, samples, fps, sync=sync,
-                           num_ref=2 if bframes else 1,
-                           weighted=weighted,
-                           bframes=bframes), recons
-
-
-def _build_mp4_avc1(frames: list[np.ndarray], samples: list[bytes],
-                    fps: int = 10, sync: list | None = None,
-                    num_ref: int = 1, weighted: bool = False,
-                    bframes: bool = False, cabac: bool = False,
-                    high: bool = False) -> bytes:
-    from . import h264codec
-
-    if not frames:
-        raise ValueError("need at least one frame")
-    h, w = frames[0].shape[:2]
-    n = len(samples)
-    timescale = fps * 1000
-    delta = 1000
-    duration = n * delta
-
-    ftyp = _box(b"ftyp", b"isom" + struct.pack(">I", 512) + b"isomiso2mp41")
-    mdat_payload = b"".join(samples)
-    first_sample_off = len(ftyp) + 8
-
-    avcc = _box(b"avcC", h264codec.avcc_config(
-        w, h, num_ref, weighted_pred=weighted,
-        weighted_bipred=1 if (weighted and bframes) else 0,
-        cabac=cabac, high=high))
-    entry = (b"\0" * 6 + struct.pack(">H", 1)
-             + b"\0" * 16
-             + struct.pack(">HH", w, h)
-             + struct.pack(">IIIH", 0x480000, 0x480000, 0, 1)
-             + bytes([4]) + b"h264" + b"\0" * 27
-             + struct.pack(">Hh", 24, -1) + avcc)
-    stsd = _full(b"stsd", 0, 0, struct.pack(">I", 1)
-                 + _box(b"avc1", entry))
-    stts = _full(b"stts", 0, 0, struct.pack(">III", 1, n, delta))
-    stsc = _full(b"stsc", 0, 0, struct.pack(">IIII", 1, 1, n, 1))
-    stsz = _full(b"stsz", 0, 0, struct.pack(">II", 0, n)
-                 + b"".join(struct.pack(">I", len(s)) for s in samples))
-    stco = _full(b"stco", 0, 0, struct.pack(">II", 1, first_sample_off))
-    sync_idx = [i for i in range(n) if sync is None or sync[i]]
-    stss = _full(b"stss", 0, 0, struct.pack(">I", len(sync_idx))
-                 + b"".join(struct.pack(">I", i + 1) for i in sync_idx))
-    stbl = _box(b"stbl", stsd + stts + stsc + stsz + stco + stss)
     vmhd = _full(b"vmhd", 0, 1, struct.pack(">HHHH", 0, 0, 0, 0))
     dref = _full(b"dref", 0, 0, struct.pack(">I", 1)
                  + _full(b"url ", 0, 1, b""))

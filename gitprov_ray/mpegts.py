@@ -3,7 +3,7 @@
 188-byte packets with a 0x47 sync byte; PSI sections (PAT on PID 0 →
 PMT PID → elementary stream types) carry the codec inventory, and PCR
 timestamps in adaptation fields give the duration. Payload DECODE
-(H.264 inter / HEVC / AAC / MPEG audio) is the same external-codec stub
+(H.264 / HEVC / AAC / MPEG audio) is the same external-codec stub
 boundary as everywhere else in the engine — this is the header-only
 metadata stage (probe_media), like the MP3/Ogg/Matroska probes.
 

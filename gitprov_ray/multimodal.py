@@ -23,20 +23,15 @@ animated GIF is the real compressed path through the video FrameSample
 stage). MP4 demux is REAL (``mp4codec.py``: ISO BMFF box walk + full
 sample-table resolution), and MJPEG-in-MP4 decodes end-to-end through
 the JPEG codec. WebP lossless is REAL (``webpcodec.py``: VP8L prefix
-codes, LZ77 + color cache, all four transforms), and H.264 is REAL
-from I_PCM all the way through predicted macroblocks: CAVLC AND CABAC
-entropy coding, Intra_4x4/8x8/16x16 (High profile, ``h264high``),
-P/B inter prediction with spatial+temporal direct, weighted
-prediction, in-loop deblocking, reference list modification and MMCO
-(``h264codec``/``h264intra``/``h264inter``/``h264cabac``/
-``h264deblock``) — conforming avc1-in-MP4 fixtures decode end-to-end
-pixel-exactly. Remaining externally-blocked paths (HEVC, lossy
-WebP/VP8 — RFC 6386 probability tables — MP3/AAC sample decode) stay
-STUBS: by default they raise ``NotImplementedError`` naming the
-missing dependency; with ``deterministic_fake=True`` they produce
-seeded deterministic fakes so the Ray-side plumbing (schemas, batch
-sizing, actor signatures, output layout) is exercised end-to-end
-regardless of payload format.
+codes, LZ77 + color cache, all four transforms). Externally-blocked
+paths (H.264/``avc1``, HEVC/``hev1``, VP9, AV1, lossy WebP/VP8 —
+RFC 6386 probability tables — MP3/AAC sample decode) are STUBS: by
+default they raise ``NotImplementedError`` naming the missing codec;
+with ``deterministic_fake=True`` they produce seeded deterministic
+fakes so the Ray-side plumbing (schemas, batch sizing, actor
+signatures, output layout) is exercised end-to-end regardless of
+payload format. ``probe_media`` still reports their container
+metadata.
 
 Batch-size guidance: payload columns dominate memory — size ``batch_size``
 so batch_bytes × concurrency fits the worker heap (a 1 MiB-mean image
@@ -593,9 +588,9 @@ class AudioFeatures:
 
 def decode_video_frames(b: bytes, fake: bool = False):
     """Payload → list of RGB frames through the engine's OWN codecs
-    (concatenated-PPM, animated GIF/PNG/WebP, MJPEG/H.264-I-in-MP4,
-    MJPG/raw-DIB AVI), or None for unrecognized bytes. Unsupported
-    codecs inside a recognized container raise NotImplementedError
+    (concatenated-PPM, animated GIF/PNG/WebP, MJPEG-in-MP4, MJPG/raw-DIB
+    AVI), or None for unrecognized bytes. Unsupported codecs inside a
+    recognized container (MP4 avc1/hev1/vp09/av01) raise NotImplementedError
     naming the codec unless ``fake`` (GIF/PNG parse failures degrade to
     None — malformed image, not a declared stub). Shared by FrameSample
     and ShotBoundary so the container dispatch lives in ONE place."""
@@ -653,8 +648,9 @@ class FrameSample:
     acTL/fcTL/fdAT demux + dispose/blend composition), MJPEG-in-MP4
     (mp4codec.py — ISO BMFF demux + per-sample JPEG decode), MJPG and
     raw-DIB AVI (avicodec.py — RIFF demux) and animated WebP
-    (webpcodec.py — VP8L frames + ANMF composition); inter-coded
-    MP4 (avc1/hev1) raises naming the codec (fake = sliced digests).
+    (webpcodec.py — VP8L frames + ANMF composition); every other MP4
+    codec (avc1/hev1/vp09/av01) raises naming the codec (fake = k
+    sha256 digest rows).
     Output is exploded (one row per sampled frame, rendered as PPM)."""
 
     def __init__(self, k: int = 4, deterministic_fake: bool = False):
@@ -925,14 +921,6 @@ def probe_media(b: bytes) -> dict:
             out.update(format="font",
                        codec=f"{p['container']}-{p['flavor']}",
                        frames=p["num_glyphs"])
-        elif b[:4] == b"\x00\x00\x00\x01" or b[:3] == b"\x00\x00\x01":
-            from . import h264codec
-
-            if h264codec.is_annexb_h264(b):
-                p = h264codec.probe_h264(b)
-                out.update(format="h264",
-                           codec=f"profile{p['profile']}",
-                           width=p["width"], height=p["height"])
         elif b[:1] == b"P" and b[1:2] in (b"5", b"6"):
             n = 0
             first = None
@@ -1243,35 +1231,6 @@ def _synth_au(seed: int, n: int = 2000) -> bytes:
                                encoding="mulaw" if seed % 2 else "pcm_be16")
 
 
-def _synth_mp4_h264(seed: int, frames: int = 5, w: int = 32,
-                    h: int = 16) -> bytes:
-    """avc1 MP4 rotating the three macroblock families through
-    FrameSample: seed%3==0 → I_PCM, 1 → CAVLC all-intra, 2 → IDR+P GOP
-    with predicted macroblocks (h264inter — the real-crawl shape; odd
-    seeds enable the §8.7 in-loop deblocking filter, the default of
-    every real-world encoder; even seeds use CABAC entropy coding —
-    h264cabac — the other real-world default)."""
-    from . import mp4codec
-
-    yy, xx = np.mgrid[0:h, 0:w]
-    frs = [np.stack([np.clip(yy * 9 + i * 15, 0, 255),
-                     np.clip(xx * 5, 0, 255),
-                     np.clip(120 + yy * 2 - xx + seed % 40, 0, 255)],
-                    axis=-1).astype(np.uint8) for i in range(frames)]
-    if seed % 3 == 2:
-        return mp4codec.encode_mp4_h264_gop(
-            frs, fps=5, qp=22, gop=4, partition_cycle=bool(seed % 2),
-            bframes=bool(seed % 2), deblock=bool(seed % 2),
-            cabac=not (seed % 2))[0]
-    if seed % 3 == 1:
-        if seed % 2 == 0:                     # High-profile intra
-            return mp4codec.encode_mp4_h264_gop(
-                frs, fps=5, qp=22, high_intra=True,
-                cabac=(seed % 4 == 0))[0]
-        return mp4codec.encode_mp4_h264_cavlc(frs, fps=5, qp=22)[0]
-    return mp4codec.encode_mp4_h264_ipcm(frs, fps=5)
-
-
 def _synth_pcx(seed: int, w: int = 24, h: int = 18) -> bytes:
     from . import pcxcodec
 
@@ -1287,7 +1246,7 @@ def synth_media_table(n: int = 32, seed: int = 42) -> pa.Table:
     """Deterministic media corpus with REAL payloads: netpbm + baseline
     JPEG + PNG + lossless WebP + TIFF + BMP + PCX images, PCM/G.711/ADPCM/FLAC
     audio, concatenated-PPM streams, animated GIF/WebP/PNG and
-    MJPEG/H.264 MP4 video."""
+    MJPEG MP4 video."""
     rows = []
     for i in range(n):
         kind = ["image", "audio", "video"][i % 3]
@@ -1334,7 +1293,7 @@ def synth_media_table(n: int = 32, seed: int = 42) -> pa.Table:
         elif (i // 3) % 7 == 3:
             payload, mime = _synth_webp_anim(seed + i), "image/webp"
         elif (i // 3) % 7 == 4:
-            payload, mime = _synth_mp4_h264(seed + i), "video/mp4"
+            payload, mime = _synth_mp4(seed + i), "video/mp4"
         elif (i // 3) % 7 == 5:
             payload, mime = _synth_apng(seed + i), "image/apng"
         elif (i // 3) % 7 == 6:

@@ -827,7 +827,7 @@ def q_media_video_frames(sf_dir: str):
 def q_shot_boundary_media(sf_dir: str):
     """Shot-boundary (scene-cut) detection over the video corpus
     (multimodal.ShotBoundary): every container/codec the engine decodes
-    (animated GIF/PNG/WebP, MJPEG/H.264-I MP4, AVI) streams through the
+    (animated GIF/PNG/WebP, MJPEG MP4, AVI) streams through the
     pairwise integer luma-histogram comparison. Rows-only (the frames
     come from the engine's own codecs — not SQL-expressible), but
     deterministic bit-for-bit: all-integer histogram milli-diffs."""
@@ -6575,21 +6575,13 @@ def q_xlsx_roundtrip_events(sf_dir: str):
     timestamps), read BACK block-parallel by file, and aggregate per
     event_type — the twin over the original parquet proves the full
     write→read→compute loop including the timestamp text round-trip."""
-    import hashlib as _h
+    import shutil as _sh
+    import tempfile
 
     from . import sources
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    out_dir = "/tmp/gitprov_xlsx_" + _h.md5(
-        str(sf_dir).encode()).hexdigest()[:12]
-    import shutil as _sh
-
-    _sh.rmtree(out_dir, ignore_errors=True)
-    sources.write_table(ds, out_dir, fmt="xlsx")
-    back = sources.read_table(out_dir, fmt="xlsx",
-                              columns=["ts", "event_type", "user_id",
-                                       "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         ts = pd.to_datetime(df["ts"])
@@ -6600,16 +6592,27 @@ def q_xlsx_roundtrip_events(sf_dir: str):
             "user_id": df["user_id"].astype("int64"),
             "day": ts.dt.strftime("%Y-%m-%d")})
 
-    g = (back.map_batches(partial, batch_format="pandas")
-         .groupby("event_type")
-         .map_groups(lambda df: pd.DataFrame({
-             "event_type": [df["event_type"].iloc[0]],
-             "n_events": [np.int64(len(df))],
-             "sum_value_cents": [np.int64(df["cents"].sum())],
-             "n_users": [np.int64(df["user_id"].nunique())],
-             "n_days": [np.int64(df["day"].nunique())]}),
-             batch_format="pandas"))
-    return (g.to_pandas().sort_values("event_type")
+    # a fresh dir per call, removed once the result is on the driver:
+    # concurrent runs over one sf_dir must not delete each other's files
+    out_dir = tempfile.mkdtemp(prefix="gitprov_xlsx_")
+    try:
+        sources.write_table(ds, out_dir, fmt="xlsx")
+        back = sources.read_table(out_dir, fmt="xlsx",
+                                  columns=["ts", "event_type", "user_id",
+                                           "value"])
+        g = (back.map_batches(partial, batch_format="pandas")
+             .groupby("event_type")
+             .map_groups(lambda df: pd.DataFrame({
+                 "event_type": [df["event_type"].iloc[0]],
+                 "n_events": [np.int64(len(df))],
+                 "sum_value_cents": [np.int64(df["cents"].sum())],
+                 "n_users": [np.int64(df["user_id"].nunique())],
+                 "n_days": [np.int64(df["day"].nunique())]}),
+                 batch_format="pandas"))
+        out = g.to_pandas()
+    finally:
+        _sh.rmtree(out_dir, ignore_errors=True)
+    return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",
                      "n_users": "int64", "n_days": "int64"}))
@@ -6625,20 +6628,13 @@ def q_avro_roundtrip_events(sf_dir: str):
     the micros timestamp mapping. Scale shape: one file per block both
     ways (block-parallel, nothing driver-sized), partial per-batch
     aggregate before the one small groupby."""
-    import hashlib as _h
     import shutil as _sh
+    import tempfile
 
     from . import sources
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    out_dir = "/tmp/gitprov_avro_" + _h.md5(
-        str(sf_dir).encode()).hexdigest()[:12]
-    _sh.rmtree(out_dir, ignore_errors=True)
-    sources.write_table(ds, out_dir, fmt="avro")
-    back = sources.read_table(out_dir, fmt="avro",
-                              columns=["ts", "event_type", "user_id",
-                                       "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         # ts decoded from the OCF as timestamp-micros int64
@@ -6649,20 +6645,30 @@ def q_avro_roundtrip_events(sf_dir: str):
             "user_id": df["user_id"].astype("int64"),
             "day": ts.dt.strftime("%Y-%m-%d")})
 
-    g = (back.map_batches(partial, batch_format="pandas")
-         .groupby("event_type")
-         .map_groups(lambda df: pd.DataFrame({
-             "event_type": [df["event_type"].iloc[0]],
-             "n_events": [np.int64(len(df))],
-             "sum_value_cents": [np.int64(df["cents"].sum())],
-             "n_users": [np.int64(df["user_id"].nunique())],
-             "n_days": [np.int64(df["day"].nunique())]}),
-             batch_format="pandas"))
-    return (g.to_pandas().sort_values("event_type")
+    # a fresh dir per call, removed once the result is on the driver:
+    # concurrent runs over one sf_dir must not delete each other's files
+    out_dir = tempfile.mkdtemp(prefix="gitprov_avro_")
+    try:
+        sources.write_table(ds, out_dir, fmt="avro")
+        back = sources.read_table(out_dir, fmt="avro",
+                                  columns=["ts", "event_type", "user_id",
+                                           "value"])
+        g = (back.map_batches(partial, batch_format="pandas")
+             .groupby("event_type")
+             .map_groups(lambda df: pd.DataFrame({
+                 "event_type": [df["event_type"].iloc[0]],
+                 "n_events": [np.int64(len(df))],
+                 "sum_value_cents": [np.int64(df["cents"].sum())],
+                 "n_users": [np.int64(df["user_id"].nunique())],
+                 "n_days": [np.int64(df["day"].nunique())]}),
+                 batch_format="pandas"))
+        out = g.to_pandas()
+    finally:
+        _sh.rmtree(out_dir, ignore_errors=True)
+    return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",
                      "n_users": "int64", "n_days": "int64"}))
-
 
 
 def q_mmr_select_docs(sf_dir: str):

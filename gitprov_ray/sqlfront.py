@@ -857,6 +857,38 @@ def _resolve_subqueries(e, tables):
     return e
 
 
+def _join_empty_side(left, right, lcol: str, rcol: str, jtype: str):
+    """Equality join where at least one (normalized) side is empty.
+
+    Ray's hash join breaks on a fully-empty side (invariant 11), so
+    answer without it: each block of the side an outer join keeps is
+    joined against the other side's typed empty table with the same
+    Arrow join verb Ray applies per partition, which NULL-extends it;
+    every other case is the typed empty result with both sides'
+    columns."""
+    import ray.data as rd
+
+    from . import ops
+
+    verb = jtype.replace("_", " ")        # Ray join type → Arrow verb
+
+    def ren(t):
+        return t.rename_columns(
+            [lcol if c == rcol else c for c in t.column_names])
+
+    l0 = ops.schema_of_dataset(left).empty_table()
+    r0 = ren(ops.schema_of_dataset(right).empty_table())
+    if jtype in ("left_outer", "full_outer") and left.take(1):
+        return left.map_batches(
+            lambda t: t.join(r0, lcol, join_type=verb),
+            batch_format="pyarrow")
+    if jtype in ("right_outer", "full_outer") and right.take(1):
+        return right.map_batches(
+            lambda t: l0.join(ren(t), lcol, join_type=verb),
+            batch_format="pyarrow")
+    return rd.from_arrow(l0.join(r0, lcol, join_type=verb))
+
+
 def _build_dataset(q: dict, tables: dict):
     """Front half shared by the eager runner and the streaming variant:
     pruned reads, normalized equality joins, vectorized WHERE — all
@@ -919,6 +951,9 @@ def _build_dataset(q: dict, tables: dict):
         ds = ops.materialize_normalized(ds, ops.schema_of_dataset(ds))
         right = ops.materialize_normalized(
             right, ops.schema_of_dataset(right))
+        if not (ds.take(1) and right.take(1)):
+            ds = _join_empty_side(ds, right, lcol, rcol, jtype)
+            continue
         if rcol != lcol:
             right = right.map_batches(
                 lambda df, rc=rcol, lc=lcol: df.rename(columns={rc: lc}),

@@ -57,13 +57,27 @@ def _patch_codec(b: bytes, fourcc: bytes) -> bytes:
 
 
 def test_unsupported_codec_named():
-    # (avc1 decodes via h264codec since round 3 — hev1 is the stub now)
     b = _patch_codec(mp4codec.encode_mp4_mjpeg(_frames(2), fps=5), b"hev1")
     with pytest.raises(NotImplementedError, match="hev1"):
         mp4codec.decode_mp4_frames(b)
     # probe still reports full metadata for the undecodable track
     t = mp4codec.probe_mp4(b)["tracks"][0]
     assert t["codec"] == "hev1" and t["sample_count"] == 2
+
+
+def test_avc1_is_named_stub():
+    b = _patch_codec(mp4codec.encode_mp4_mjpeg(_frames(2), fps=5), b"avc1")
+    with pytest.raises(NotImplementedError, match="avc1"):
+        mp4codec.decode_mp4_frames(b)
+    t = mp4codec.probe_mp4(b)["tracks"][0]
+    assert t["codec"] == "avc1" and t["sample_count"] == 2
+    tbl = pa.table({
+        "media_id": pa.array(["v0"], pa.string()),
+        "payload": pa.array([b], pa.binary()),
+    })
+    with pytest.raises(NotImplementedError, match="avc1"):
+        M.FrameSample(k=2)(tbl)
+    assert M.FrameSample(k=2, deterministic_fake=True)(tbl).num_rows == 2
 
 
 def test_largesize_box():

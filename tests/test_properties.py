@@ -149,17 +149,16 @@ def test_media_codecs_never_crash_on_garbage(data):
     NotImplementedError (or a parse refusal), never a hang, index
     crash, or wrong exception type — the quarantine contract of
     probe_media (malformed payloads filter, not kill the job)."""
-    from gitprov_ray import (audiocodec, bmpcodec, gifcodec, h264codec,
-                             jpegcodec, mp4codec, pngcodec, tiffcodec,
-                             webpcodec)
+    from gitprov_ray import (audiocodec, bmpcodec, gifcodec, jpegcodec,
+                             mp4codec, pngcodec, tiffcodec, webpcodec)
     from gitprov_ray.multimodal import probe_media
 
     meta = probe_media(data)                 # must never raise
     assert isinstance(meta["format"], str)
     for dec in (jpegcodec.decode_jpeg, pngcodec.decode_png,
                 gifcodec.decode_gif, webpcodec.decode_webp,
-                mp4codec.decode_mp4_frames, h264codec.decode_annexb,
-                tiffcodec.decode_tiff, bmpcodec.decode_bmp):
+                mp4codec.decode_mp4_frames, tiffcodec.decode_tiff,
+                bmpcodec.decode_bmp):
         try:
             dec(data)
         except (ValueError, NotImplementedError, EOFError, KeyError,

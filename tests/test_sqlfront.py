@@ -195,6 +195,36 @@ def test_differential_vs_duckdb(ray_session, con, sql):
                                   check_exact=False, rtol=1e-9)
 
 
+@pytest.mark.parametrize("empty", ["left", "right"])
+@pytest.mark.parametrize("jt", ["INNER", "LEFT", "RIGHT", "FULL"])
+def test_join_with_empty_side_matches_duckdb(ray_session, jt, empty):
+    """Invariant 11: a JOIN with an empty side answers like DuckDB on the
+    same frames (typed empty result, or the kept side NULL-extended)
+    instead of crashing in Ray's hash join."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    a = pa.table({"k": pa.array([1, 2], pa.int64()),
+                  "x": pa.array([10, 20], pa.int64())})
+    b = pa.table({"k": pa.array([2, 3], pa.int64()),
+                  "y": pa.array(["p", "q"], pa.string())})
+    if empty == "left":
+        a = a.slice(0, 0)
+    else:
+        b = b.slice(0, 0)
+    sql = f"SELECT x, y FROM a {jt} JOIN b ON a.k = b.k"
+    mine = sqlfront.sql_query(sql, {"a": rd.from_arrow(a),
+                                    "b": rd.from_arrow(b)})
+    c = duckdb.connect()
+    c.register("a", a)
+    c.register("b", b)
+    ref = c.sql(sql).df()
+    m, r = _canon(mine), _canon(ref)
+    assert list(m.columns) == list(r.columns) == ["x", "y"]
+    assert len(m) == len(r), (len(m), len(r), sql)
+    pd.testing.assert_frame_equal(m, r, check_dtype=False)
+
+
 def test_column_pruning_at_read(ray_session):
     """Only referenced columns are scanned from parquet."""
     q = sqlfront.parse_select(
