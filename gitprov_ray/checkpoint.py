@@ -194,25 +194,30 @@ def _event_key_array(t: "pa.Table"):
         pc.cast(t.column("event_seq"), pa.string()), "\x1f")
 
 
-def _events_digest(revs_ds) -> str:
-    """Order- and partitioning-independent content digest of an event set:
-    per-batch uint64 hash-sum of the composite keys (tiny partials merged
-    on the driver). Deterministic → the incremental fingerprint chain is
-    reproducible, unlike the old random uuid stamp (ADVICE r2)."""
+def _graphs_and_digest(revs_ds) -> tuple[list[str], str]:
+    """One pass over an event set: its sorted distinct graphs and its
+    order- and partitioning-independent content digest. Each batch returns
+    its distinct graphs and the uint64 hash-sum of its composite keys; the
+    driver unions the graphs and adds the sums mod 2**63. Deterministic →
+    the incremental fingerprint chain is reproducible, unlike the old
+    random uuid stamp (ADVICE r2)."""
     import pandas as pd
+    import pyarrow.compute as pc
+
+    mask = 0x7FFFFFFFFFFFFFFF
 
     def part(t: pa.Table) -> pa.Table:
         k = _event_key_array(t).to_numpy(zero_copy_only=False)
         h = 0 if t.num_rows == 0 else int(
             pd.util.hash_array(k.astype(object)).sum())
-        return pa.table({"h": pa.array([h & 0x7FFFFFFFFFFFFFFF], pa.int64())})
+        graphs = pc.unique(t.column("graph")).to_pylist()
+        return pa.table({"h": pa.array([h & mask], pa.int64()),
+                         "graphs": pa.array([graphs], pa.list_(pa.string()))})
 
-    import numpy as np
-
-    parts = revs_ds.map_batches(part, batch_format="pyarrow").to_pandas()
-    total = int(parts["h"].to_numpy(dtype=np.int64).sum()
-                & 0x7FFFFFFFFFFFFFFF)
-    return f"{total:016x}"
+    rows = revs_ds.map_batches(part, batch_format="pyarrow").take_all()
+    graphs = set().union(*(r["graphs"] for r in rows))
+    total = sum(r["h"] for r in rows) & mask
+    return sorted(graphs), f"{total:016x}"
 
 
 def _dedup_events(revs_ds, num_buckets: int):
@@ -262,8 +267,7 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     from . import synth
 
     new_revs = fl.revisions_from_pages(new_pages_ds).materialize()
-    affected = sorted(set(new_revs.select_columns(["graph"])
-                          .to_pandas()["graph"]))
+    affected, digest = _graphs_and_digest(new_revs)
     if not affected:
         return {"graphs": [], "new_events": 0, "triples_written": 0}
 
@@ -282,7 +286,6 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
 
     with open(_manifest_path(workdir, "revisions")) as f:
         prior_fp = json.load(f).get("fingerprint", "none")
-    digest = _events_digest(new_revs)
     fp = "incremental-" + hashlib.sha1(
         f"{prior_fp}|{digest}".encode()).hexdigest()[:16]
 

@@ -62,13 +62,9 @@ def _default_partitions() -> int:
     """Join/aggregate partition count sized to the cluster: Ray's hash join
     spins up `num_partitions` aggregating actors — more partitions than
     cores just queues actors (and can starve a small test session)."""
-    import ray
+    from .util import cluster_cpus
 
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    except Exception:
-        ncpu = 8
-    return max(2, ncpu)
+    return max(2, cluster_cpus())
 
 
 def materialize_normalized(ds, schema):

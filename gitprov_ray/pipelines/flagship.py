@@ -50,12 +50,13 @@ def triples_from_revisions(revisions_ds, contributor_rows,
     # natural checkpoint boundary (§4.2): events are small relative to the
     # html they were parsed from.
     if checkpoint:
-        import ray
+        from ..util import fanout
 
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # materialize compacts to few large blocks; re-split so the two
-        # consumer branches fan out across all cores
-        revisions_ds = revisions_ds.materialize().repartition(max(16, 2 * ncpu))
+        # the parse and materialize keep the input's block count: a parquet
+        # read is split to the fan-out by tune_context, but the one
+        # ``rd.from_arrow`` table an incremental update receives stays one
+        # block. Re-split so the two consumer branches use every core
+        revisions_ds = revisions_ds.materialize().repartition(fanout())
     stmts = statements_from_revisions(revisions_ds, contributor_rows,
                                       num_buckets=num_buckets)
     # compact-id exchange: local names + predicate codes through the dedup
@@ -133,11 +134,9 @@ def _maybe_canonicalize(tri, canonicalize: bool, num_buckets: int):
 def pages_from_documents(sf_dir: str, repeat: int = 1) -> "rd.Dataset":
     """documents.parquet → deterministic synthetic pages corpus (in-engine
     rendering; no external data). Column-pruned at the read."""
-    from ..util import tune_context
+    from ..util import fanout, read_parquet_clean, tune_context
 
     tune_context()
-    from ..util import read_parquet_clean
-
     docs = read_parquet_clean(f"{sf_dir}/documents.parquet",
                               columns=["doc_id", "text", "lang", "source"])
     # the documents file is ONE row group → Ray reads it as 1-2 blocks,
@@ -145,11 +144,7 @@ def pages_from_documents(sf_dir: str, repeat: int = 1) -> "rd.Dataset":
     # near-serial regardless of cluster size. Re-split the (tiny) doc
     # rows BEFORE the expanding render so the heavy stages fan out —
     # measured: the 16-CPU scaling leg spent ~10 s in a 2-task render.
-    import ray
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8)) \
-        if ray.is_initialized() else 8
-    docs = docs.repartition(max(16, 2 * ncpu))
+    docs = docs.repartition(fanout())
     return docs.map_batches(
         lambda b: pages_stage.render_pages_from_documents_batch(b, repeat),
         batch_format="pyarrow")

@@ -17,7 +17,10 @@ before groupbys, column pruning at the read.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import shutil
+import tempfile
 
 import numpy as np
 import pandas as pd
@@ -35,6 +38,19 @@ def _read(sf_dir: str, table: str, columns=None):
 
     tune_context()
     return read_parquet_clean(f"{sf_dir}/{table}.parquet", columns=columns)
+
+
+@contextlib.contextmanager
+def _scratch_dir(fmt: str):
+    """A fresh ``gitprov_<fmt>_*`` temp dir per call, removed once the
+    caller's result is on the driver: a dir shared per ``sf_dir`` let
+    concurrent runs delete each other's files. Only for queries that
+    return eager results — a lazy Dataset would read the dir later."""
+    out_dir = tempfile.mkdtemp(prefix=f"gitprov_{fmt}_")
+    try:
+        yield out_dir
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
 
 
 def _cents(x: pd.Series) -> pd.Series:
@@ -5064,18 +5080,10 @@ def q_sqlite_roundtrip_events(sf_dir: str):
     of integer cents, distinct users — so the twin (straight over the
     parquet) proves the full write→read→compute loop, not just the
     file format."""
-    import hashlib as _h
-
     from . import sources
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value"])
-    db = "/tmp/gitprov_sqlite_" + _h.md5(
-        str(sf_dir).encode()).hexdigest()[:12] + "/events.db"
-    sources.write_table(ds, db, fmt="sqlite", sqlite_table="events")
-    back = sources.read_table(
-        db, columns=["event_type", "user_id", "value"],
-        sqlite_rows_per_task=2000)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
@@ -5084,17 +5092,23 @@ def q_sqlite_roundtrip_events(sf_dir: str):
             "cents": _cents(df["value"]),
             "user_id": df["user_id"].astype("int64")})
 
-    g = (back.map_batches(partial, batch_format="pandas")
-         .groupby("event_type")
-         .aggregate(Count(alias_name="n_events"),
-                    Sum("cents", alias_name="sum_value_cents")))
-    users = (back.map_batches(
-        lambda df: df[["event_type", "user_id"]].drop_duplicates(),
-        batch_format="pandas")
-        .groupby(["event_type", "user_id"]).count()
-        .groupby("event_type").count())
-    gp = g.to_pandas()
-    up = users.to_pandas().rename(columns={"count()": "n_users"})
+    with _scratch_dir("sqlite") as out_dir:
+        db = f"{out_dir}/events.db"
+        sources.write_table(ds, db, fmt="sqlite", sqlite_table="events")
+        back = sources.read_table(
+            db, columns=["event_type", "user_id", "value"],
+            sqlite_rows_per_task=2000)
+        g = (back.map_batches(partial, batch_format="pandas")
+             .groupby("event_type")
+             .aggregate(Count(alias_name="n_events"),
+                        Sum("cents", alias_name="sum_value_cents")))
+        users = (back.map_batches(
+            lambda df: df[["event_type", "user_id"]].drop_duplicates(),
+            batch_format="pandas")
+            .groupby(["event_type", "user_id"]).count()
+            .groupby("event_type").count())
+        gp = g.to_pandas()
+        up = users.to_pandas().rename(columns={"count()": "n_users"})
     out = gp.merge(up, on="event_type").sort_values("event_type")
     return pd.DataFrame({
         "event_type": out["event_type"],
@@ -5738,15 +5752,9 @@ def q_delta_roundtrip_events(sf_dir: str):
     proves checkpoint-seed + JSON-tail replay + partition-column
     injection + column pruning in one pass. The twin states the final
     LOGICAL table directly over the raw parquet."""
-    import hashlib as _h
-    import shutil
-
     from . import deltalake as dl
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-    tbl = ("/tmp/gitprov_delta_"
-           + _h.md5(str(sf_dir).encode()).hexdigest()[:12] + "/events")
-    shutil.rmtree(tbl, ignore_errors=True)
 
     def split(keep_mod3):
         def f(df: pd.DataFrame) -> pd.DataFrame:
@@ -5755,21 +5763,6 @@ def q_delta_roundtrip_events(sf_dir: str):
             return df[m].reset_index(drop=True)
         return f
 
-    dl.write_delta(ds.map_batches(split(True), batch_format="pandas"),
-                   tbl, partition_cols=["event_type"])
-    dl.write_delta(ds.map_batches(split(False), batch_format="pandas"),
-                   tbl, mode="append", partition_cols=["event_type"])
-    dl.delete_where(tbl, lambda pv: pv.get("event_type") == "error")
-    dl.checkpoint(tbl)
-    dl.write_delta(
-        ds.map_batches(
-            lambda df: df[(df["event_type"] == "error")
-                          & (df["event_id"] % 5 == 0)]
-            .reset_index(drop=True), batch_format="pandas"),
-        tbl, mode="append", partition_cols=["event_type"])
-
-    back = dl.read_delta(tbl, columns=["event_id", "event_type", "value"])
-
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame({
             "event_type": df["event_type"].astype(str),
@@ -5777,12 +5770,29 @@ def q_delta_roundtrip_events(sf_dir: str):
             "cents": _cents(df["value"]),
             "eid": df["event_id"].astype("int64")})
 
-    g = (back.map_batches(partial, batch_format="pandas")
-         .groupby("event_type")
-         .aggregate(Count(alias_name="n_events"),
-                    Sum("cents", alias_name="sum_value_cents"),
-                    Min("eid", alias_name="min_event_id"),
-                    Max("eid", alias_name="max_event_id"))).to_pandas()
+    with _scratch_dir("delta") as out_dir:
+        tbl = f"{out_dir}/events"
+        dl.write_delta(ds.map_batches(split(True), batch_format="pandas"),
+                       tbl, partition_cols=["event_type"])
+        dl.write_delta(ds.map_batches(split(False), batch_format="pandas"),
+                       tbl, mode="append", partition_cols=["event_type"])
+        dl.delete_where(tbl, lambda pv: pv.get("event_type") == "error")
+        dl.checkpoint(tbl)
+        dl.write_delta(
+            ds.map_batches(
+                lambda df: df[(df["event_type"] == "error")
+                              & (df["event_id"] % 5 == 0)]
+                .reset_index(drop=True), batch_format="pandas"),
+            tbl, mode="append", partition_cols=["event_type"])
+
+        back = dl.read_delta(tbl, columns=["event_id", "event_type", "value"])
+
+        g = (back.map_batches(partial, batch_format="pandas")
+             .groupby("event_type")
+             .aggregate(Count(alias_name="n_events"),
+                        Sum("cents", alias_name="sum_value_cents"),
+                        Min("eid", alias_name="min_event_id"),
+                        Max("eid", alias_name="max_event_id"))).to_pandas()
     g = g.sort_values("event_type").reset_index(drop=True)
     return g.astype({"n_events": "int64", "sum_value_cents": "int64",
                      "min_event_id": "int64", "max_event_id": "int64"})
@@ -5797,37 +5807,33 @@ def q_iceberg_roundtrip_docs(sf_dir: str):
     metadata.json → manifest list avro → manifest avro → pruned parquet
     — and aggregated per lang. The twin states the final snapshot
     contents directly over the raw parquet."""
-    import hashlib as _h
-    import shutil
-
     from . import iceberg as ice
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
-    tbl = ("/tmp/gitprov_iceberg_"
-           + _h.md5(str(sf_dir).encode()).hexdigest()[:12] + "/docs")
-    shutil.rmtree(tbl, ignore_errors=True)
 
     def pick(mod):
         return lambda df: df[df["doc_id"] % 3 == mod].reset_index(
             drop=True)
 
-    ice.write_iceberg(ds.map_batches(pick(0), batch_format="pandas"),
-                      tbl)
-    ice.write_iceberg(ds.map_batches(pick(1), batch_format="pandas"),
-                      tbl, mode="append")
-    back = ice.read_iceberg(tbl, columns=["doc_id", "lang", "n_chars"])
+    with _scratch_dir("iceberg") as out_dir:
+        tbl = f"{out_dir}/docs"
+        ice.write_iceberg(ds.map_batches(pick(0), batch_format="pandas"),
+                          tbl)
+        ice.write_iceberg(ds.map_batches(pick(1), batch_format="pandas"),
+                          tbl, mode="append")
+        back = ice.read_iceberg(tbl, columns=["doc_id", "lang", "n_chars"])
 
-    g = (back.map_batches(
-        lambda df: pd.DataFrame({
-            "lang": df["lang"].astype(str),
-            "chars": df["n_chars"].astype("int64"),
-            "did": df["doc_id"].astype("int64")}),
-        batch_format="pandas")
-        .groupby("lang")
-        .aggregate(Count(alias_name="n_docs"),
-                   Sum("chars", alias_name="sum_chars"),
-                   Min("did", alias_name="min_doc_id"),
-                   Max("did", alias_name="max_doc_id"))).to_pandas()
+        g = (back.map_batches(
+            lambda df: pd.DataFrame({
+                "lang": df["lang"].astype(str),
+                "chars": df["n_chars"].astype("int64"),
+                "did": df["doc_id"].astype("int64")}),
+            batch_format="pandas")
+            .groupby("lang")
+            .aggregate(Count(alias_name="n_docs"),
+                       Sum("chars", alias_name="sum_chars"),
+                       Min("did", alias_name="min_doc_id"),
+                       Max("did", alias_name="max_doc_id"))).to_pandas()
     g = g.sort_values("lang").reset_index(drop=True)
     return g.astype({"n_docs": "int64", "sum_chars": "int64",
                      "min_doc_id": "int64", "max_doc_id": "int64"})
@@ -6575,9 +6581,6 @@ def q_xlsx_roundtrip_events(sf_dir: str):
     timestamps), read BACK block-parallel by file, and aggregate per
     event_type — the twin over the original parquet proves the full
     write→read→compute loop including the timestamp text round-trip."""
-    import shutil as _sh
-    import tempfile
-
     from . import sources
 
     ds = _read(sf_dir, "events",
@@ -6592,10 +6595,7 @@ def q_xlsx_roundtrip_events(sf_dir: str):
             "user_id": df["user_id"].astype("int64"),
             "day": ts.dt.strftime("%Y-%m-%d")})
 
-    # a fresh dir per call, removed once the result is on the driver:
-    # concurrent runs over one sf_dir must not delete each other's files
-    out_dir = tempfile.mkdtemp(prefix="gitprov_xlsx_")
-    try:
+    with _scratch_dir("xlsx") as out_dir:
         sources.write_table(ds, out_dir, fmt="xlsx")
         back = sources.read_table(out_dir, fmt="xlsx",
                                   columns=["ts", "event_type", "user_id",
@@ -6610,8 +6610,6 @@ def q_xlsx_roundtrip_events(sf_dir: str):
                  "n_days": [np.int64(df["day"].nunique())]}),
                  batch_format="pandas"))
         out = g.to_pandas()
-    finally:
-        _sh.rmtree(out_dir, ignore_errors=True)
     return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",
@@ -6628,9 +6626,6 @@ def q_avro_roundtrip_events(sf_dir: str):
     the micros timestamp mapping. Scale shape: one file per block both
     ways (block-parallel, nothing driver-sized), partial per-batch
     aggregate before the one small groupby."""
-    import shutil as _sh
-    import tempfile
-
     from . import sources
 
     ds = _read(sf_dir, "events",
@@ -6645,10 +6640,7 @@ def q_avro_roundtrip_events(sf_dir: str):
             "user_id": df["user_id"].astype("int64"),
             "day": ts.dt.strftime("%Y-%m-%d")})
 
-    # a fresh dir per call, removed once the result is on the driver:
-    # concurrent runs over one sf_dir must not delete each other's files
-    out_dir = tempfile.mkdtemp(prefix="gitprov_avro_")
-    try:
+    with _scratch_dir("avro") as out_dir:
         sources.write_table(ds, out_dir, fmt="avro")
         back = sources.read_table(out_dir, fmt="avro",
                                   columns=["ts", "event_type", "user_id",
@@ -6663,8 +6655,6 @@ def q_avro_roundtrip_events(sf_dir: str):
                  "n_days": [np.int64(df["day"].nunique())]}),
                  batch_format="pandas"))
         out = g.to_pandas()
-    finally:
-        _sh.rmtree(out_dir, ignore_errors=True)
     return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",

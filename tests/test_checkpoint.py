@@ -111,6 +111,27 @@ def test_run_flagship_refuses_incremental_workdir(ray_session, tiny_corpus,
     assert r["triples"] > 0 and r["resumed"] == []
 
 
+def test_graphs_and_digest_match_the_two_pass_form(ray_session, tiny_corpus):
+    """The one-pass graphs + digest of an event batch equal what the two
+    former passes computed — the distinct graphs, and the
+    ``pd.util.hash_array`` sum over ``_event_key_array`` mod 2**63 — at any
+    block split, so existing fingerprint chains stay valid."""
+    import numpy as np
+    import pandas as pd
+    import ray.data as rd
+
+    from gitprov_ray import checkpoint
+
+    _, revisions, _ = tiny_corpus
+    k = checkpoint._event_key_array(revisions).to_numpy(zero_copy_only=False)
+    h = int(pd.util.hash_array(k.astype(object)).sum()) & 0x7FFFFFFFFFFFFFFF
+    want = (sorted(set(revisions.column("graph").to_pylist())), f"{h:016x}")
+    for n in (1, 7):
+        cuts = np.array_split(np.arange(revisions.num_rows), n)
+        ds = rd.from_arrow([revisions.slice(int(c[0]), len(c)) for c in cuts])
+        assert checkpoint._graphs_and_digest(ds.materialize()) == want
+
+
 def test_incremental_resend_does_not_grow_checkpoint(ray_session, tiny_corpus,
                                                      tmp_path):
     """ADVICE r2 (low): re-sending a batch must not duplicate rows in the

@@ -24,11 +24,27 @@ _ROW = ["subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph"]
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_engine_matches_oracle_exactly(tiny_corpus):
+@pytest.mark.parametrize("page_blocks", ["one", "3xfanout"])
+@pytest.mark.parametrize("num_buckets", [2, 8, 32])
+def test_engine_matches_oracle_exactly(tiny_corpus, num_buckets, page_blocks):
+    """Set-exact at fewer, equal and more buckets than the fan-out (8
+    blocks at 4 CPUs), from one pages block or from 3×fan-out blocks."""
+    import numpy as np
+    import ray.data as rd
     from gitprov_ray import oracle
+    from gitprov_ray.pipelines import flagship
+    from gitprov_ray.util import fanout
 
     pages, revisions, contributors = tiny_corpus
-    engine = _engine_triples(pages, contributors)
+    if page_blocks == "one":
+        pages_ds = rd.from_arrow(pages)
+    else:
+        cuts = np.array_split(np.arange(pages.num_rows), 3 * fanout())
+        pages_ds = rd.from_arrow([pages.slice(int(c[0]), len(c))
+                                  for c in cuts])
+    engine = flagship.triples_from_pages(
+        pages_ds, contributors.to_pylist(),
+        num_buckets=num_buckets).to_pandas()
     golden, _ = oracle.build_triples(revisions.to_pylist(),
                                      contributors.to_pylist())
     rows = set(map(tuple, engine[_ROW].itertuples(index=False)))

@@ -90,3 +90,37 @@ def test_multiprobe_recall_at_least_single_probe():
                      multi[["query_id", "neighbor_id"]].to_numpy()))
              & truth) / len(truth)
     assert rm >= r1
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name,fmt,table", [
+    ("q_sqlite_roundtrip_events", "sqlite", "events"),
+    ("q_delta_roundtrip_events", "delta", "events"),
+    ("q_iceberg_roundtrip_docs", "iceberg", "documents"),
+    ("q_xlsx_roundtrip_events", "xlsx", "events"),
+    ("q_avro_roundtrip_events", "avro", "events")])
+def test_roundtrip_queries_leave_no_scratch_dir(name, fmt, table, con,
+                                                tmp_path):
+    """Round-trip queries write to a fresh temp dir per call and remove it
+    (``queries._scratch_dir``): a dir shared per ``sf_dir`` let concurrent
+    runs delete each other's files. The input is copied to a fresh
+    ``sf_dir`` so no earlier run's dir can hide a leak."""
+    import glob
+    import shutil
+    import tempfile
+
+    from gitprov_ray.queries import ORACLE_SQL, QUERIES
+
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    shutil.copy(f"{SF}/{table}.parquet", sf / f"{table}.parquet")
+    roots = {"/tmp", tempfile.gettempdir()}
+
+    def scratch():
+        return {p for r in roots for p in glob.glob(f"{r}/gitprov_{fmt}_*")}
+
+    before = scratch()
+    res = QUERIES[name](str(sf))
+    assert scratch() <= before
+    a, b = _norm(res), _norm(con.sql(ORACLE_SQL[name]).df())
+    pd.testing.assert_frame_equal(a, b)
