@@ -91,7 +91,6 @@ def run_bench() -> dict:
     import ray.data as _rd
     _rd.range(10_000).map_batches(lambda b: b, batch_format="pyarrow").count()
 
-    use_ckpt = os.environ.get("GRAFT_BENCH_CHECKPOINT", "1") == "1"
     t0 = time.time()
     # bucket count 12×CPUs (floor 64): the dedup reduce+write tasks have
     # ~3× hash-size skew, so many small tasks pipeline with the zstd write
@@ -99,7 +98,7 @@ def run_bench() -> dict:
     # 27.0 s @64 → 24.1 s @192; 32cpu/repeat=10 8.6 s @64 → 7.3-8.1 s @384;
     # 4cpu is bucket-insensitive (64 and 192 within noise, ~100-104 s)
     tri = flagship.flagship(SF_DIR, num_buckets=max(64, NCPU * 12),
-                            repeat=REPEAT, checkpoint=use_ckpt)
+                            repeat=REPEAT)
     tri.write_parquet(out_dir, compression="zstd")
     flagship_sec = time.time() - t0
 
@@ -144,11 +143,6 @@ def run_scaling() -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    GRAFT_BENCH_REPEAT=str(SCALING_REPEAT),
                    GRAFT_SKIP_QUERIES="1",
-                   # checkpointed legs: both parallelism levels stay in a
-                   # healthy memory regime (streamed doubles in-flight data
-                   # and degrades the low-CPU leg on one box)
-                   GRAFT_BENCH_CHECKPOINT=os.environ.get(
-                       "GRAFT_BENCH_CHECKPOINT", "1"),
                    # pin the object store so both legs get the same
                    # streaming memory budget (a real N-node vs 4N-node
                    # cluster scales memory with nodes; one box does not)

@@ -29,11 +29,12 @@ import uuid
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-from . import store as store_mod
+from . import schemas, store as store_mod
 from .pipelines import flagship as fl
 
 
 _CODE_VERSION = "r2"  # bump when stage semantics change → old checkpoints invalid
+_STAGE_SCHEMAS = {"revisions": schemas.REVISIONS}
 
 
 def _fingerprint(sf_dir: str, repeat: int) -> str:
@@ -94,12 +95,16 @@ def _write_stage(ds, workdir: str, stage: str, fingerprint: str) -> None:
 
 
 def _read_stage(workdir: str, stage: str):
+    """The stage's files against the stage's pinned schema. No partition
+    inference: the ``stage=<name>`` directory would otherwise add a
+    ``stage`` column to every row, and a write-back would persist it."""
     from .util import read_parquet_clean
 
     with open(_manifest_path(workdir, stage)) as f:
         m = json.load(f)
     return read_parquet_clean([os.path.join(_stage_dir(workdir, stage), fn)
-                               for fn in m["files"]])
+                               for fn in m["files"]],
+                              schema=_STAGE_SCHEMAS[stage], partitioning=None)
 
 
 def _has_incremental_state(workdir: str) -> bool:
@@ -165,7 +170,7 @@ def run_flagship(sf_dir: str, workdir: str, num_buckets: int = 32,
             shutil.rmtree(store_root, ignore_errors=True)
             done = set()
         triples = fl.triples_from_revisions(
-            revisions, contributors, num_buckets=num_buckets, checkpoint=False)
+            revisions, contributors, num_buckets=num_buckets)
         if canonicalize:
             triples = fl.canonicalize_triples(triples.materialize(),
                                               num_buckets=num_buckets)
@@ -186,7 +191,7 @@ def run_flagship(sf_dir: str, workdir: str, num_buckets: int = 32,
 
 def _event_key_array(t: "pa.Table"):
     """Composite event identity (graph, page_key, snapshot_id, event_seq)
-    as one string array — the dedup/digest key for revision rows."""
+    as one string array — the digest key for revision rows."""
     import pyarrow.compute as pc
 
     return pc.binary_join_element_wise(
@@ -220,51 +225,33 @@ def _graphs_and_digest(revs_ds) -> tuple[list[str], str]:
     return sorted(graphs), f"{total:016x}"
 
 
-def _dedup_events(revs_ds, num_buckets: int):
-    """Distributed event dedup on the composite key (bucketed shuffle +
-    in-bucket first-occurrence keep). Arrow end-to-end — a pandas round
-    trip would mangle the ``parents`` list column."""
-    import numpy as np
-    import pandas as pd
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        k = _event_key_array(t).to_numpy(zero_copy_only=False)
-        b = (pd.util.hash_array(k.astype(object)) % num_buckets
-             ).astype(np.int64)
-        return t.append_column("ebucket", pa.array(b))
-
-    def dedup(t: pa.Table) -> pa.Table:
-        k = _event_key_array(t).to_numpy(zero_copy_only=False)
-        _, idx = np.unique(k.astype(object), return_index=True)
-        return t.take(np.sort(idx)).drop_columns(["ebucket"])
-
-    return (revs_ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("ebucket")
-            .map_groups(dedup, batch_format="pyarrow"))
-
-
 def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     """Incremental update: merge a NEW batch of pages into an existing
-    flagship run without recomputing the world.
+    flagship run.
 
-    Only the graphs touched by the new batch recompute: their old events
-    (from the ``revisions`` stage checkpoint) union the new ones, flow
-    through the normal statements→triples pipeline, and replace exactly
-    those graph partitions in the store (replace-on-store semantics).
-    Version chains stay correct because the lag shuffle sees the affected
-    graphs' FULL event history, old and new. Work is proportional to the
-    affected graphs, not the corpus — the 100-TB shape where a daily crawl
-    batch touches a sliver of hosts.
+    Only the graphs touched by the new batch recompute triples: their old
+    events (from the ``revisions`` stage checkpoint) union the new ones and
+    take the version-lag exchange ONCE (``versions.lag_exchange``); the
+    lagged slice is materialized and feeds both the triple path, which
+    replaces exactly those graph partitions in the store (replace-on-store
+    semantics), and the checkpoint write-back. Version chains stay correct
+    because the lag exchange sees the affected graphs' FULL event history,
+    old and new. The triple work follows the affected graphs, but the
+    revisions checkpoint is still read twice (the affected slice and the
+    rest) and rewritten whole, so each call is O(corpus) in I/O;
+    partitioning the checkpoint by graph is the open fix.
 
-    Re-sending already-processed pages is a no-op: the affected slice is
-    deduplicated on (graph, page_key, snapshot_id, event_seq) before the
-    pipeline and before the checkpoint write-back, so the revisions
-    checkpoint never grows from re-sends. The new fingerprint is derived
-    deterministically (sha1 of the prior fingerprint + an order-independent
-    batch content digest) — two runs merging the same batches produce the
-    same fingerprint chain. Returns {graphs, new_events, triples_written}.
+    Re-sending already-processed pages is a no-op: the lag exchange keeps
+    the events distinct on (graph, page_key, snapshot_id, event_seq), so
+    neither the triples nor the revisions checkpoint grow from re-sends.
+    The new fingerprint is derived deterministically (sha1 of the prior
+    fingerprint + an order-independent batch content digest) — two runs
+    merging the same batches produce the same fingerprint chain. Returns
+    {graphs, new_events, triples_written}.
     """
     from . import synth
+    from .ops import materialize_normalized
+    from .stages import versions
 
     new_revs = fl.revisions_from_pages(new_pages_ds).materialize()
     affected, digest = _graphs_and_digest(new_revs)
@@ -279,10 +266,12 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     old_aff = old_revs.map_batches(
         lambda t: t.filter(pc.is_in(t["graph"], value_set=aff_arr)),
         batch_format="pyarrow")
-    # dedup ONLY the affected slice (duplicates can't span into untouched
-    # graphs) — keeps update cost proportional to the batch, not the corpus
-    combined = _dedup_events(old_aff.union(new_revs),
-                             num_buckets).materialize()
+    # materialized once: it feeds the triples AND the write-back. The
+    # slice holds few (graph, page_key) buckets, so the exchange leaves
+    # empty partitions; dropping them keeps column-less blocks out of both
+    lagged = materialize_normalized(
+        versions.lag_exchange(old_aff.union(new_revs),
+                              num_buckets=num_buckets), versions.LAGGED)
 
     with open(_manifest_path(workdir, "revisions")) as f:
         prior_fp = json.load(f).get("fingerprint", "none")
@@ -290,8 +279,8 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
         f"{prior_fp}|{digest}".encode()).hexdigest()[:16]
 
     contributors = synth.contributors_for_sources(affected).to_pylist()
-    triples = fl.triples_from_revisions(
-        combined, contributors, num_buckets=num_buckets, checkpoint=True)
+    triples = fl.triples_from_lagged(lagged, contributors,
+                                     num_buckets=num_buckets)
     store_root = os.path.join(workdir, "triples_store")
     written = store_mod.write_store(triples, store_root, fingerprint=fp)
 
@@ -299,7 +288,9 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     old_rest = old_revs.map_batches(
         lambda t: t.filter(pc.invert(pc.is_in(t["graph"], value_set=aff_arr))),
         batch_format="pyarrow")
-    _write_stage(old_rest.union(combined), workdir, "revisions", fp)
+    _write_stage(old_rest.union(
+        lagged.select_columns(schemas.REVISIONS.names)),
+        workdir, "revisions", fp)
 
     return {"graphs": affected, "new_events": new_revs.count(),
             "triples_written": sum(written.values())}

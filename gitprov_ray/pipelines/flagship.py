@@ -1,19 +1,24 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.1 engine equivalent).
 
     read pages → map_batches(parse html → revision events)
-               → map_batches(emit_stateless_arrow, broadcast agents) [stateless stmts]
-               → groupby(bucket(graph,page_key)).map_groups     [version lag]
-               → union(agent stmts)
-               → flatten to compact triples → bucketed dedup → expand + sort
-                                                                [final graph]
+               → groupby(bucket(graph,page_key)).map_groups(lag_events)
+                                 [exchange 1: event dedup + version lag,
+                                  every event column carried]
+               → map_batches(emit_stateless_arrow + emit_status_arrow
+                             + flatten_batch_compact)   [compact triples]
+               → union(agents' compact rows)
+               → groupby(compact bucket).map_groups     [exchange 2:
+                                  dedup + expand + sort → final graph]
 
-Everything streams; the only materialized side input is the tiny
-contributors table (broadcast in the emit closure). Callers own the Ray session
-(driver contract) — nothing here calls ``ray.init``.
+Two exchanges, one consumer per Dataset: everything streams, and no stage
+re-executes. The only materialized side input is the tiny contributors
+table (broadcast in the emit closure). Callers own the Ray session (the
+``__ray_entry__.py`` contract) — nothing here calls ``ray.init``.
 """
 
 from __future__ import annotations
 
+import pyarrow as pa
 import ray.data as rd
 
 from ..stages import emit, pages as pages_stage, triples as triples_stage, versions
@@ -28,53 +33,47 @@ def revisions_from_pages(pages_ds: "rd.Dataset") -> "rd.Dataset":
                                 batch_format="pyarrow")
 
 
-def statements_from_revisions(revisions_ds: "rd.Dataset",
-                              contributor_rows: list[dict],
-                              num_buckets: int = 64) -> "rd.Dataset":
-    # stateless task-pool emit: the small agents index broadcasts via the
-    # serialized-once closure — never re-shipped per batch, and no
-    # actor-pool spawn latency
+def compact_from_lagged(lagged: pa.Table, agents_idx: dict) -> pa.Table:
+    """One block of lagged events (``versions.lag_events`` output) → compact
+    triple rows: the stateless statements of every row, the status
+    statements of the ``lag_first`` rows, flattened in the same task."""
+    stmts = pa.concat_tables([emit.emit_stateless_arrow(lagged, agents_idx),
+                              versions.emit_status_arrow(lagged)])
+    return triples_stage.flatten_batch_compact(stmts)
+
+
+def triples_from_lagged(lagged_ds, contributor_rows, num_buckets: int = 64):
+    """Lagged events → final deduplicated triples. The small agents index
+    broadcasts via the serialized-once closure (no actor-pool spawn
+    latency); the agents' own rows join as one compact block built in the
+    calling process."""
     agents_idx = emit.agents_index(contributor_rows)
-    stateless = revisions_ds.map_batches(
-        emit.make_emitter(agents_idx), batch_format="pyarrow")
-    versioned = versions.version_statements(revisions_ds, num_buckets=num_buckets)
-    agent_stmts = rd.from_arrow(emit.emit_agents_table(contributor_rows))
-    return stateless.union(versioned).union(agent_stmts)
+    compact = lagged_ds.map_batches(
+        lambda t: compact_from_lagged(t, agents_idx), batch_format="pyarrow")
+    agents = rd.from_arrow(triples_stage.flatten_batch_compact(
+        emit.emit_agents_table(contributor_rows)))
+    # compact-id exchange: local names + predicate codes through the dedup
+    # shuffle, URIs expanded post-dedup (~45% fewer shuffle bytes)
+    return triples_stage.dedup_compact(compact.union(agents),
+                                       num_buckets=num_buckets)
 
 
 def triples_from_revisions(revisions_ds, contributor_rows,
-                           num_buckets: int = 64, checkpoint: bool = True):
-    # The revisions dataset feeds BOTH the stateless-emit branch and the
-    # version-lag branch; Ray Data re-executes shared lineage per consumer,
-    # so materialize the (narrow) event table once. This is also the
-    # natural checkpoint boundary (§4.2): events are small relative to the
-    # html they were parsed from.
-    if checkpoint:
-        from ..util import fanout
-
-        # the parse and materialize keep the input's block count: a parquet
-        # read is split to the fan-out by tune_context, but the one
-        # ``rd.from_arrow`` table an incremental update receives stays one
-        # block. Re-split so the two consumer branches use every core
-        revisions_ds = revisions_ds.materialize().repartition(fanout())
-    stmts = statements_from_revisions(revisions_ds, contributor_rows,
-                                      num_buckets=num_buckets)
-    # compact-id exchange: local names + predicate codes through the dedup
-    # shuffle, URIs expanded post-dedup (~45% fewer shuffle bytes)
-    return triples_stage.statements_to_triples_compact(
-        stmts, num_buckets=num_buckets)
+                           num_buckets: int = 64):
+    # one consumer of the events: the lag exchange carries every column,
+    # so nothing downstream re-reads (or re-executes) the parse
+    return triples_from_lagged(
+        versions.lag_exchange(revisions_ds, num_buckets=num_buckets),
+        contributor_rows, num_buckets=num_buckets)
 
 
-def triples_from_pages(pages_ds, contributor_rows,
-                       num_buckets: int = 64, checkpoint: bool = True):
+def triples_from_pages(pages_ds, contributor_rows, num_buckets: int = 64):
     return triples_from_revisions(revisions_from_pages(pages_ds),
-                                  contributor_rows, num_buckets=num_buckets,
-                                  checkpoint=checkpoint)
+                                  contributor_rows, num_buckets=num_buckets)
 
 
 def flagship_from_pages_parquet(pages_path: str, contributor_rows: list[dict],
                                 num_buckets: int = 64,
-                                checkpoint: bool = True,
                                 canonicalize: bool = False):
     """Run the flagship over a REAL pages table — a parquet of the
     BASELINE.json input_hint shape (url, warc_ts, html, text, lang), e.g.
@@ -121,7 +120,7 @@ def flagship_from_pages_parquet(pages_path: str, contributor_rows: list[dict],
         pages_ds = read_parquet_clean(pages_path,
                                       columns=["url", "warc_ts", "html"])
     tri = triples_from_pages(pages_ds, contributor_rows,
-                             num_buckets=num_buckets, checkpoint=checkpoint)
+                             num_buckets=num_buckets)
     return _maybe_canonicalize(tri, canonicalize, num_buckets)
 
 
@@ -211,19 +210,12 @@ def canonicalize_triples(triples_ds, threshold: float = 0.7,
     return triples_stage.dedup_triples(rewritten, num_buckets=num_buckets)
 
 
-def flagship(sf_dir: str, num_buckets: int = 64,
-             repeat: int = 1, checkpoint: bool = True,
+def flagship(sf_dir: str, num_buckets: int = 64, repeat: int = 1,
              canonicalize: bool = False):
     """documents-derived pages → final deduped triples Dataset, each
-    partition sorted by the triple key.
-
-    ``checkpoint=False`` streams the whole DAG with no materialize barrier
-    (the two revision consumers re-execute the parse; it parallelizes and
-    avoids a pipeline-wide stall — the right trade when not resuming).
-    ``canonicalize=True`` adds the opt-in agent entity-linking stage
-    (cluster + rewrite + re-dedup)."""
+    partition sorted by the triple key. ``canonicalize=True`` adds the
+    opt-in agent entity-linking stage (cluster + rewrite + re-dedup)."""
     pages_ds = pages_from_documents(sf_dir, repeat=repeat)
     contributors = contributors_for_sf(sf_dir)
-    tri = triples_from_pages(pages_ds, contributors,
-                              num_buckets=num_buckets, checkpoint=checkpoint)
+    tri = triples_from_pages(pages_ds, contributors, num_buckets=num_buckets)
     return _maybe_canonicalize(tri, canonicalize, num_buckets)

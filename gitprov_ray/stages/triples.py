@@ -64,7 +64,7 @@ def dedup_triples(triples_ds, num_buckets: int = 64):
     """Exact distinct on (graph, subj, pred, obj) over full-width TRIPLES
     rows via stable hash buckets, each bucket sorted by the triple key. The
     flagship dedups in the compact exchange instead
-    (:func:`statements_to_triples_compact`); this re-dedups after
+    (:func:`dedup_compact`); this re-dedups after
     canonicalization rewrites subj/obj (rewrites can collide rows)."""
     keyed = triples_ds.map_batches(
         lambda b: add_triple_bucket(b, num_buckets), batch_format="pyarrow"
@@ -488,12 +488,17 @@ def flatten_batch_compact(batch: pa.Table) -> pa.Table:
     return _encode_compact(tri)
 
 
-def statements_to_triples_compact(statements_ds, num_buckets: int = 64):
-    """statements → compact exchange → dedup → expanded partitions, each
-    sorted by the triple key (no global order across partitions)."""
-    compact = statements_ds.map_batches(flatten_batch_compact,
-                                        batch_format="pyarrow")
-    keyed = compact.map_batches(
+def dedup_compact(compact_ds, num_buckets: int = 64):
+    """compact rows → the dedup exchange → expanded partitions, each sorted
+    by the triple key (no global order across partitions)."""
+    keyed = compact_ds.map_batches(
         lambda b: add_compact_bucket(b, num_buckets), batch_format="pyarrow")
     return keyed.groupby("bucket").map_groups(
         _dedup_expand_sort_group, batch_format="pyarrow")
+
+
+def statements_to_triples_compact(statements_ds, num_buckets: int = 64):
+    """statements → :func:`flatten_batch_compact` → :func:`dedup_compact`."""
+    return dedup_compact(statements_ds.map_batches(flatten_batch_compact,
+                                                   batch_format="pyarrow"),
+                         num_buckets=num_buckets)

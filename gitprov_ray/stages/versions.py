@@ -1,13 +1,19 @@
-"""ST1 — the version-chain lag shuffle (all status-dependent statements).
+"""ST1 — the version-chain lag shuffle: the flagship's one event exchange.
 
 The reference's only cross-record state is ``entityVersions: Map<filename,
 List<sha>>`` (ProvenanceService.java:92,:294-299,:548-551): the parent of a
 'modified' file event is the sha of the LAST prior event (any status) of the
 same file. Distributed re-expression: hash-partition the event stream by
 (graph, page_key), re-establish per-key order INSIDE the partition, and
-compute the lag with a vectorized pandas groupby/shift — never a global
-state object (the reference's own concurrency bug, SURVEY.md §3.4, is the
-cautionary tale).
+compute the lag with vectorized Arrow kernels — never a global state object
+(the reference's own concurrency bug, SURVEY.md §3.4, is the cautionary
+tale).
+
+The exchange carries every REVISIONS column, so it is the ONLY shuffle the
+events take: ``lag_events`` also keeps the events distinct on their
+identity (graph, page_key, snapshot_id, event_seq) — an incremental merge
+re-sending pages already merged needs no separate dedup pass — and every
+statement emitter (stateless and status-dependent) runs on its output.
 
 This stage also owns the within-commit first-event-wins dedup — a
 DELIBERATE engine policy pinned by oracle.py, NOT a reference behavior:
@@ -15,25 +21,25 @@ the reference's commitFiles.forEach (ProvenanceService.java:167) has no
 per-commit filename dedup (a duplicate filename would emit twice and
 registerVersion appends each occurrence); the engine instead quarantines
 the duplicate so version chains stay well-formed. A page that lists the
-same resource twice keeps only the first event (by in-page ``event_seq``),
-so the status-dependent statements — wasGeneratedBy / wasInvalidatedBy /
-used / wasDerivedFrom — are ALL emitted here, after the global
-(graph, page_key, snapshot_id) dedup. The stateless emitter handles only
+same resource twice keeps only the first event (by in-page ``event_seq``):
+``lag_events`` flags it ``lag_first`` and ``emit_status_arrow`` emits the
+status-dependent statements — wasGeneratedBy / wasInvalidatedBy / used /
+wasDerivedFrom — for flagged rows only. The stateless emitter handles only
 status-independent statements (identical across duplicate rows, collapsed
-by the final triple dedup). The dedup tie-break is deterministic: stable
-sort by (graph, page_key, ts, snapshot_id, event_seq) then keep-first, so
+by the final triple dedup). The tie-break is deterministic: stable sort by
+(graph, page_key, ts, snapshot_id, event_seq), first row wins, so
 conflicting duplicate rows resolve identically on every run and match the
 oracle's page-order semantics.
 
 Scale design: instead of one map_groups group per file key (per-group Python
 call overhead at 10^12 keys), the shuffle key is ``bucket =
 hash64(graph,page_key) % num_buckets`` — each group is a whole bucket and
-the per-key lag inside it is one vectorized pandas groupby/shift. Hot keys
-spread over buckets by the hash; a single pathological key still fits one
-bucket, which is the documented partitioning assumption (one key's event
-chain fits one worker — the same assumption the reference makes with its
-in-memory map). The bucket hash is sha1-based and process-stable, so reruns
-partition identically (checkpoint/resume safe).
+the per-key lag inside it is one vectorized pass. Hot keys spread over
+buckets by the hash; a single pathological key still fits one bucket, which
+is the documented partitioning assumption (one key's event chain fits one
+worker — the same assumption the reference makes with its in-memory map).
+The bucket hash is a fixed-key siphash, process-stable, so reruns partition
+identically (checkpoint/resume safe).
 """
 
 from __future__ import annotations
@@ -41,11 +47,19 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .. import schemas
 
+# the columns the status-dependent emitter reads
 LAG_COLUMNS = ["graph", "page_key", "snapshot_id", "ts", "change_status",
                "event_seq", "additions", "changes", "deletions"]
+# the in-bucket order: per key chronological, then in-page order
+_ORDER = ["graph", "page_key", "ts", "snapshot_id", "event_seq"]
+EVENT_KEY = ["graph", "page_key", "snapshot_id", "event_seq"]
+_COMMIT_KEY = ["graph", "page_key", "snapshot_id"]
+LAGGED = schemas.REVISIONS.append(pa.field("parent", pa.string())) \
+                          .append(pa.field("lag_first", pa.bool_()))
 
 
 def stable_bucket(graph: pd.Series, key: pd.Series, num_buckets: int) -> np.ndarray:
@@ -64,142 +78,162 @@ def add_bucket_column(batch: pa.Table, num_buckets: int) -> pa.Table:
     )
 
 
-_EMPTY = pd.DataFrame(
-    {
-        "stmt_type": pd.Series(dtype=object), "id": pd.Series(dtype=object),
-        "subj": pd.Series(dtype=object), "obj": pd.Series(dtype=object),
-        "secondary": pd.Series(dtype=object),
-        "t": pd.Series(dtype="datetime64[us]"),
-        "attrs": pd.Series(dtype=object), "graph": pd.Series(dtype=object),
-        "stmt_rank": pd.Series(dtype="int32"),
-    }
-)
+def _lagged_schema(schema: pa.Schema) -> pa.Schema:
+    if not schema.names:  # a column-less empty frame
+        return LAGGED
+    return schema.append(LAGGED.field("parent")).append(LAGGED.field("lag_first"))
 
 
-def dedup_lag(df: pd.DataFrame) -> pd.DataFrame:
-    """One hash bucket of events → deduped rows + ``parent`` lag column.
-
-    Replicates: per-key chronological order (ts, snapshot_id); within-commit
-    first-event-wins dedup by event_seq (oracle seen_files); parent =
-    previous event sha of any status."""
-    df = df.sort_values(["graph", "page_key", "ts", "snapshot_id", "event_seq"],
-                        kind="mergesort")
-    df = df.drop_duplicates(["graph", "page_key", "snapshot_id"]).copy()
-    df["parent"] = df.groupby(["graph", "page_key"], sort=False)["snapshot_id"].shift(1)
-    return df
+def _first_rows(t: pa.Table, keys: list[str]) -> np.ndarray:
+    """Ascending row indices of the first row of each distinct ``keys``
+    value (Arrow hash grouping, no string concat, no sort)."""
+    idx = t.select(keys).append_column(
+        "__i", pa.array(np.arange(t.num_rows, dtype=np.int64)))
+    first = idx.group_by(keys, use_threads=False).aggregate([("__i", "min")])
+    return np.sort(first.column("__i_min").to_numpy())
 
 
-def version_lag_group(df: pd.DataFrame) -> pd.DataFrame:
-    """One hash bucket of events → STATEMENT rows for every status-dependent
-    emitter (wasGeneratedBy / wasInvalidatedBy / used / wasDerivedFrom).
+def lag_events(batch: pa.Table) -> pa.Table:
+    """One hash bucket of events → its distinct events in per-key order,
+    plus two columns:
+
+    * ``lag_first`` — the row is the first event of its (graph, page_key,
+      snapshot_id): the one whose status statements the oracle emits;
+    * ``parent`` — on ``lag_first`` rows, the snapshot id of the previous
+      ``lag_first`` row of the same (graph, page_key) (the reference's
+      ``entityVersions`` lag; null for a key's first version and on the
+      other rows).
+
+    Rows repeating an event identity (graph, page_key, snapshot_id,
+    event_seq) are dropped, the first in sort order kept. Any columns ride
+    along; an empty bucket returns the typed empty lagged table."""
+    t = batch.drop_columns(["bucket"]) if "bucket" in batch.column_names \
+        else batch
+    if t.num_rows == 0:
+        return _lagged_schema(t.schema).empty_table()
+    t = t.combine_chunks()
+    t = t.take(pc.sort_indices(t, sort_keys=[(c, "ascending") for c in _ORDER]))
+    t = t.take(pa.array(_first_rows(t, EVENT_KEY)))
+    n = t.num_rows
+    first = _first_rows(t, _COMMIT_KEY)
+    heads = t.select(["graph", "page_key", "snapshot_id"]).take(pa.array(first))
+    m = len(first)
+
+    def prev_equal(name: str) -> pa.Array:
+        col = heads.column(name).combine_chunks()
+        return pc.fill_null(pc.equal(col.slice(1), col.slice(0, m - 1)), False)
+
+    snap = heads.column("snapshot_id").combine_chunks()
+    same_key = pc.and_(prev_equal("graph"), prev_equal("page_key"))
+    head_parent = pa.concat_arrays([
+        pa.nulls(1, snap.type),
+        pc.if_else(same_key, snap.slice(0, m - 1), pa.scalar(None, snap.type))])
+    # scatter the heads' parents back to full length: null off the heads
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[first] = np.arange(m)
+    parent = head_parent.take(pa.array(pos, mask=pos < 0))
+    lag_first = np.zeros(n, dtype=bool)
+    lag_first[first] = True
+    return t.append_column(LAGGED.field("parent"), parent) \
+            .append_column(LAGGED.field("lag_first"), pa.array(lag_first))
+
+
+def emit_status_arrow(lagged: pa.Table) -> pa.Table:
+    """Lagged events → status-dependent STATEMENTS rows (wasGeneratedBy /
+    wasInvalidatedBy / used / wasDerivedFrom) for the ``lag_first`` rows,
+    all Arrow kernels (same distributive-escape invariants as
+    emit.emit_stateless_arrow; byte-exact attrs JSON template). Pinned by
+    test_emit_vec.py multiset parity against ``oracle.build_statements``.
 
     Quirk-4 policy: 'modified' with no prior version → generation only, no
     usage/derivation (counted by checkpoint._run_metrics as
     ``modified_without_prior_quarantined``)."""
-    if len(df) == 0:
-        return _EMPTY.copy()
-    return _emit_status_stmts_vec(dedup_lag(df))
-
-
-def _emit_status_stmts_vec(d: pd.DataFrame) -> pd.DataFrame:
-    """Deduped+lagged rows → status-dependent STATEMENT rows, vectorized
-    (same distributive-escape invariants as emit.emit_stateless_arrow;
-    byte-exact attrs JSON template). Pinned by test_emit_vec.py multiset
-    parity against ``oracle.build_statements``."""
+    from .emit import _dict_map
     from .. import idgen
     from ..schemas import STMT_RANK
 
-    base_of = {v: idgen.escape_ncname(idgen.base_entity_name(v))
-               for v in pd.unique(d["page_key"])}
-    base = d["page_key"].map(base_of)
-    sha = d["snapshot_id"]
-    spec = base + "_commit-" + sha
-    act = "commit-" + sha
-    frames: list[pd.DataFrame] = []
+    if lagged.num_rows == 0:
+        return schemas.STATEMENTS.empty_table()
+    d = lagged.filter(lagged.column("lag_first"))
+    col = {name: d.column(name).combine_chunks()
+           for name in LAG_COLUMNS + ["parent"]}
+    sha, status = col["snapshot_id"], col["change_status"]
+    base = _dict_map(col["page_key"],
+                     lambda v: idgen.escape_ncname(idgen.base_entity_name(v)))
+    ts = pc.cast(col["ts"], pa.timestamp("us"))
+    parts: list[pa.Table] = []
 
-    gen_mask = d["change_status"].isin(["added", "modified"]).to_numpy()
-    if gen_mask.any():
-        g = d[gen_mask]
-        frames.append(pd.DataFrame({
-            "stmt_type": "wasGeneratedBy",
-            "id": ("generation-" + base[gen_mask] + "-" + g["snapshot_id"]).to_numpy(),
-            "subj": spec[gen_mask].to_numpy(),
-            "obj": act[gen_mask].to_numpy(), "secondary": None,
-            "t": g["ts"].to_numpy(), "attrs": "{}",
-            "graph": g["graph"].to_numpy(),
-            "stmt_rank": STMT_RANK["wasGeneratedBy"]}))
-    inv_mask = (d["change_status"] == "removed").to_numpy()
-    if inv_mask.any():
-        iv = d[inv_mask]
-        frames.append(pd.DataFrame({
-            "stmt_type": "wasInvalidatedBy",
-            "id": ("invalidation-" + base[inv_mask] + "-" + iv["snapshot_id"]).to_numpy(),
-            "subj": spec[inv_mask].to_numpy(),
-            "obj": act[inv_mask].to_numpy(), "secondary": None,
-            "t": iv["ts"].to_numpy(), "attrs": "{}",
-            "graph": iv["graph"].to_numpy(),
-            "stmt_rank": STMT_RANK["wasInvalidatedBy"]}))
+    def block(stmt_type, mask, id_a, subj_a, obj_a, secondary_a, t_a,
+              attrs_a):
+        k = pc.sum(mask).as_py() or 0
+        if not k:
+            return
+        f = lambda a: a.filter(mask) if not isinstance(a, pa.Scalar) \
+            else pa.repeat(a, k)
+        parts.append(pa.Table.from_arrays(
+            [pa.repeat(pa.scalar(stmt_type), k), f(id_a), f(subj_a),
+             f(obj_a), f(secondary_a), f(t_a), f(attrs_a), f(col["graph"]),
+             pa.repeat(pa.scalar(STMT_RANK[stmt_type], pa.int32()), k)],
+            schema=schemas.STATEMENTS))
 
-    m = d[(d["change_status"] == "modified") & d["parent"].notna()]
-    if len(m):
-        mbase = base[m.index]
-        msha, parent = m["snapshot_id"], m["parent"]
-        mspec = mbase + "_commit-" + msha
-        parent_spec = mbase + "_commit-" + parent
-        mact = "commit-" + msha
-        frames.append(pd.DataFrame({
-            "stmt_type": "used",
-            "id": ("usage-" + mbase + "-" + msha + "-" + parent).to_numpy(),
-            "subj": mact.to_numpy(), "obj": parent_spec.to_numpy(),
-            "secondary": None, "t": m["ts"].to_numpy(), "attrs": "{}",
-            "graph": m["graph"].to_numpy(), "stmt_rank": STMT_RANK["used"]}))
+    spec = pc.binary_join_element_wise(base, sha, "_commit-")
+    act = pc.binary_join_element_wise("commit-", sha, "")
+    no_s = pa.scalar(None, pa.string())
+    no_t = pa.scalar(None, pa.timestamp("us"))
+    empty = pa.scalar("{}")
+    block("wasGeneratedBy", pc.is_in(status, pa.array(["added", "modified"])),
+          pc.binary_join_element_wise("generation-", base, "-", sha, ""),
+          spec, act, no_s, ts, empty)
+    block("wasInvalidatedBy", pc.fill_null(pc.equal(status, "removed"), False),
+          pc.binary_join_element_wise("invalidation-", base, "-", sha, ""),
+          spec, act, no_s, ts, empty)
 
-        attrs = ('{"gitprov:additions": [' + m["additions"].astype(str)
-                 + ', "xsd:int"], "gitprov:changes": [' + m["changes"].astype(str)
-                 + ', "xsd:int"], "gitprov:deletions": [' + m["deletions"].astype(str)
-                 + ', "xsd:int"], "prov:hadGeneration": ["generation-' + msha
-                 + '", "@uri"], "prov:hadUsage": ["usage-' + msha + "-" + parent
-                 + '", "@uri"]}')
-        frames.append(pd.DataFrame({
-            "stmt_type": "wasDerivedFrom",
-            "id": ("derivation-" + mspec + "-" + parent).to_numpy(),
-            "subj": mspec.to_numpy(), "obj": parent_spec.to_numpy(),
-            "secondary": mact.to_numpy(), "t": pd.NaT, "attrs": attrs.to_numpy(),
-            "graph": m["graph"].to_numpy(),
-            "stmt_rank": STMT_RANK["wasDerivedFrom"]}))
+    parent = col["parent"]
+    used = pc.fill_null(pc.and_(pc.equal(status, "modified"),
+                                pc.is_valid(parent)), False)
+    parent_spec = pc.binary_join_element_wise(base, parent, "_commit-")
+    usage = pc.binary_join_element_wise(sha, parent, "-")
+    block("used", used,
+          pc.binary_join_element_wise("usage-", base, "-", usage, ""),
+          act, parent_spec, no_s, ts, empty)
+    count = lambda name: pc.cast(col[name], pa.string())
+    attrs = pc.binary_join_element_wise(
+        '{"gitprov:additions": [', count("additions"),
+        ', "xsd:int"], "gitprov:changes": [', count("changes"),
+        ', "xsd:int"], "gitprov:deletions": [', count("deletions"),
+        ', "xsd:int"], "prov:hadGeneration": ["generation-', sha,
+        '", "@uri"], "prov:hadUsage": ["usage-', usage, '", "@uri"]}', "")
+    block("wasDerivedFrom", used,
+          pc.binary_join_element_wise("derivation-", spec, "-", parent, ""),
+          spec, parent_spec, act, no_t, attrs)
 
-    if not frames:
-        return _EMPTY.copy()
-    frames = [f for f in frames if len(f)]
-    for f in frames:
-        # align all-NaT ns columns to the us event timestamps (see emit.py)
-        if str(f["t"].dtype) != "datetime64[us]":
-            f["t"] = f["t"].astype("datetime64[us]")
-    out = pd.concat(frames, ignore_index=True) if len(frames) > 1 else frames[0].copy()
-    out["t"] = pd.to_datetime(out["t"])
-    out["stmt_rank"] = out["stmt_rank"].astype("int32")
-    return out
+    if not parts:
+        return schemas.STATEMENTS.empty_table()
+    return pa.concat_tables(parts).combine_chunks()
+
+
+def lag_exchange(events_ds, num_buckets: int = 64):
+    """Events Dataset → its lagged events (:func:`lag_events` per bucket):
+    the one keyed exchange, on hash(graph, page_key), every column carried
+    (SURVEY.md §4.3 shuffle #1)."""
+    keyed = events_ds.map_batches(
+        lambda b: add_bucket_column(b, num_buckets), batch_format="pyarrow")
+    return keyed.groupby("bucket").map_groups(lag_events,
+                                              batch_format="pyarrow")
+
+
+def version_lag_group(df: pd.DataFrame) -> pd.DataFrame:
+    """One bucket of events as a pandas frame → its status-dependent
+    STATEMENT rows (the per-bucket :func:`lag_events` +
+    :func:`emit_status_arrow` pass, for callers holding pandas)."""
+    t = pa.Table.from_pandas(df, preserve_index=False).replace_schema_metadata(None)
+    return emit_status_arrow(lag_events(t)).to_pandas()
 
 
 def version_statements(revisions_ds, num_buckets: int = 64):
     """revisions Dataset → status-dependent statements Dataset
-    (wasGeneratedBy / wasInvalidatedBy / used / wasDerivedFrom).
-
-    Shuffle #1 of the physical plan (SURVEY.md §4.3): key = hash bucket of
-    (graph, page_key). Columns are pruned BEFORE the shuffle so only the
-    lag-relevant fields move.
-    """
-    keyed = revisions_ds.select_columns(LAG_COLUMNS).map_batches(
-        lambda b: add_bucket_column(b, num_buckets), batch_format="pyarrow")
-    grouped = keyed.groupby("bucket").map_groups(
-        lambda df: version_lag_group(df.drop(columns=["bucket"])),
-        batch_format="pandas",
-    )
-    # normalize back to Arrow blocks with the canonical STATEMENTS schema so
-    # the downstream union sees one schema
-    from ..util import pandas_to_arrow
-
-    return grouped.map_batches(
-        lambda df: pandas_to_arrow(df, schemas.STATEMENTS),
-        batch_format="pandas",
-    )
+    (wasGeneratedBy / wasInvalidatedBy / used / wasDerivedFrom) through
+    :func:`lag_exchange` over the ``LAG_COLUMNS`` only."""
+    return lag_exchange(revisions_ds.select_columns(LAG_COLUMNS),
+                        num_buckets).map_batches(emit_status_arrow,
+                                                 batch_format="pyarrow")

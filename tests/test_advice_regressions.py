@@ -50,8 +50,7 @@ def _engine_triples_from_rows(rows, contributors):
     from gitprov_ray.pipelines import flagship
 
     revs = rd.from_arrow(pa.Table.from_pylist(rows, schema=schemas.REVISIONS))
-    tri = flagship.triples_from_revisions(revs, contributors, num_buckets=4,
-                                          checkpoint=False)
+    tri = flagship.triples_from_revisions(revs, contributors, num_buckets=4)
     df = tri.to_pandas()
     return set(zip(df["graph"], df["subj"], df["pred"], df["obj"]))
 

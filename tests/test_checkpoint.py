@@ -4,6 +4,7 @@ works, partial store completion is resumed per partition."""
 import shutil
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -348,3 +349,152 @@ def test_canonicalize_cold_vs_crash_resume(tmp_path):
     # canonical and plain fingerprints never cross-resume
     r3 = checkpoint.run_flagship(SF, wd, num_buckets=8)
     assert r3["resumed"] == [] or "triples" not in r3["resumed"]
+
+
+def test_revisions_checkpoint_keeps_the_revisions_schema(ray_session,
+                                                         tiny_corpus,
+                                                         tmp_path):
+    """After ``run_flagship`` and two ``update_flagship`` calls every
+    revisions file carries exactly ``schemas.REVISIONS``: the read-back
+    infers no hive ``stage`` column from the ``stage=revisions`` directory,
+    and the write-back persists no column the events do not have."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gitprov_ray import checkpoint, schemas
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(12), pa.int64()),
+        "text": [f"document {i} about provenance graphs" for i in range(12)],
+        "lang": ["en"] * 12,
+        "source": [f"src{i % 3}" for i in range(12)]}),
+        docs / "documents.parquet")
+    wd = str(tmp_path / "wd")
+    checkpoint.run_flagship(str(docs), wd, num_buckets=4)
+    pages, _, _ = tiny_corpus
+    half = pages.num_rows // 2
+    for batch in (pages.slice(0, half), pages.slice(half)):
+        checkpoint.update_flagship(wd, rd.from_arrow(batch), num_buckets=4)
+    d = checkpoint._stage_dir(wd, "revisions")
+    files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    assert files
+    for f in files:
+        got = pq.read_schema(os.path.join(d, f)).remove_metadata()
+        assert got.equals(schemas.REVISIONS), f
+    assert checkpoint._read_stage(wd, "revisions").schema().base_schema \
+        .equals(schemas.REVISIONS)
+
+
+def _dup_resource_page(url: str, ts) -> dict:
+    """One page listing dup.txt twice with conflicting statuses."""
+    from gitprov_ray import synth
+
+    res = [{"name": "dup.txt", "status": s, "additions": a, "changes": 1,
+            "deletions": 0} for s, a in (("added", 4), ("removed", 9))]
+    html = synth.render_html({"label": "dup", "author": "user1",
+                              "author_name": "User One", "resources": res,
+                              "parents": []}, ["w"] * 8)
+    return {"url": url, "warc_ts": ts, "html": html, "text": "", "lang": "en"}
+
+
+@st.composite
+def _deliveries(draw):
+    """A small corpus and its delivery: a base and 1-3 update batches.
+    Pages land in random batches (so a later snapshot can arrive before an
+    earlier one), some are re-sent in later batches, and one page lists a
+    resource twice with conflicting statuses."""
+    import datetime as dt
+
+    from gitprov_ray import synth
+
+    pages, _, _ = synth.gen_corpus(draw(st.integers(2, 4)),
+                                   seed=draw(st.integers(0, 10_000)))
+    rows = pages.to_pylist()
+    rows.append(_dup_resource_page(
+        "https://site0.example/p/dup",
+        synth.BASE_TS + dt.timedelta(days=draw(st.integers(0, 100)))))
+    n_batches = draw(st.integers(1, 3))
+    batches = [[] for _ in range(n_batches + 1)]
+    for i, row in enumerate(rows):
+        # the corpus' first page (an added → … chain) seeds the base
+        first = 0 if i == 0 else draw(st.integers(0, n_batches))
+        batches[first].append(row)
+        for again in draw(st.lists(st.integers(first, n_batches),
+                                   max_size=2)):
+            batches[again].append(row)
+    return batches
+
+
+def _row_key(r: dict) -> tuple:
+    return tuple(tuple(v) if isinstance(v, list) else v for v in r.values())
+
+
+@settings(max_examples=12, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_deliveries())
+def test_incremental_equals_batch(ray_session, batches):
+    """Base + update batches (re-sends, out-of-order earlier snapshots,
+    duplicate resources): the store equals ``oracle.build_triples`` over
+    everything delivered, and the revisions checkpoint equals the delivered
+    events kept distinct on (graph, page_key, snapshot_id, event_seq) — a
+    cold run's event set — with no repeated row in any merged graph."""
+    import os
+    import tempfile
+
+    import pyarrow as pa
+    import ray
+    import ray.data as rd
+
+    from gitprov_ray import checkpoint, oracle, schemas, store, synth
+    from gitprov_ray.pipelines import flagship as fl
+    from gitprov_ray.stages.pages import page_events_batch
+
+    def events(rows):
+        return page_events_batch(pa.Table.from_pylist(rows,
+                                                      schema=schemas.PAGES))
+
+    def contributors(evs):
+        graphs = set(evs.column("graph").to_pylist())
+        return synth.contributors_for_sources(sorted(graphs)).to_pylist()
+
+    with tempfile.TemporaryDirectory() as wd:
+        base = events(batches[0])
+        checkpoint._write_stage(rd.from_arrow(base), wd, "revisions", "init")
+        store.write_store(fl.triples_from_revisions(
+            checkpoint._read_stage(wd, "revisions"), contributors(base),
+            num_buckets=4), os.path.join(wd, "triples_store"),
+            fingerprint="init")
+        for batch in batches[1:]:
+            checkpoint.update_flagship(
+                wd, rd.from_arrow(pa.Table.from_pylist(batch,
+                                                       schema=schemas.PAGES)),
+                num_buckets=4)
+
+        delivered = events([r for b in batches for r in b])
+        distinct = {}
+        for r in delivered.to_pylist():
+            distinct.setdefault((r["graph"], r["page_key"], r["snapshot_id"],
+                                 r["event_seq"]), r)
+        gold, _ = oracle.build_triples(list(distinct.values()),
+                                       contributors(delivered))
+        got = store.read_store(os.path.join(wd, "triples_store")).to_pandas()
+        cols = ["subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph"]
+        rows = list(map(tuple, got[cols].itertuples(index=False)))
+        assert set(rows) == {tuple(t[c] for c in cols) for t in gold}
+        assert len(rows) == len(set(rows))
+
+        ckpt = [_row_key(r) for t in ray.get(
+            checkpoint._read_stage(wd, "revisions").to_arrow_refs())
+            for r in t.to_pylist()]
+        assert set(ckpt) == set(map(_row_key, distinct.values()))
+        # the base is written as delivered; every graph a merge rewrote is
+        # distinct
+        merged = set(events([r for b in batches[1:] for r in b])
+                     .column("graph").to_pylist())
+        rewritten = [r for r in ckpt if r[0] in merged]
+        assert len(rewritten) == len(set(rewritten))

@@ -121,6 +121,31 @@ def test_flagship_from_pages_parquet(tiny_corpus, ray_session, tmp_path):
     assert ka == kb and len(a) == len(b)
 
 
+def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
+    """The flagship's logical plan holds exactly two all-to-all operators —
+    the version-lag exchange and the triple dedup exchange — and no
+    Repartition: the events take one shuffle and are consumed once."""
+    import pyarrow.parquet as pq
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll, Repartition)
+
+    from gitprov_ray.pipelines import flagship
+
+    pages, _, contributors = tiny_corpus
+    p = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, p)
+    ds = flagship.flagship_from_pages_parquet(p, contributors.to_pylist(),
+                                              num_buckets=4)
+    ops, todo = {}, [ds._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        if id(op) not in ops:
+            ops[id(op)] = op
+            todo.extend(op.input_dependencies)
+    assert sum(isinstance(o, AbstractAllToAll) for o in ops.values()) == 2
+    assert not any(isinstance(o, Repartition) for o in ops.values())
+
+
 def test_triples_order_insensitive_to_input_permutation(ray_session):
     """SURVEY §5.2 property 4: shuffled input rows ⇒ identical triple set
     (the engine's shuffles must not leak input order into the output)."""
@@ -137,7 +162,7 @@ def test_triples_order_insensitive_to_input_permutation(ray_session):
     perm = [rows[i] for i in rng.permutation(len(rows))]
     mk = lambda rs: flagship.triples_from_revisions(
         rd.from_arrow(pa.Table.from_pylist(rs, schema=schemas.REVISIONS)),
-        contributors.to_pylist(), num_buckets=4, checkpoint=False).to_pandas()
+        contributors.to_pylist(), num_buckets=4).to_pandas()
     a, b = mk(rows), mk(perm)
     key = ["graph", "subj", "pred", "obj"]
     assert set(map(tuple, a[key].itertuples(index=False))) == \
