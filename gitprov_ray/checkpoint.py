@@ -311,8 +311,9 @@ def _run_metrics(sf_dir: str, repeat: int, revisions, store_root: str,
     """
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
-
     import pyarrow.parquet as pq
+
+    from .ops import distinct_keys
 
     n_docs = pq.read_metadata(f"{sf_dir}/documents.parquet").num_rows
     agg = revisions.map_batches(
@@ -324,8 +325,7 @@ def _run_metrics(sf_dir: str, repeat: int, revisions, store_root: str,
         }), batch_format="pyarrow").to_pandas().sum()
     n_events = int(agg["n"])
     n_modified = int(agg["n_modified"])
-    n_snapshots = len(set(revisions.select_columns(["snapshot_id"])
-                          .to_pandas()["snapshot_id"]))
+    n_snapshots = distinct_keys(revisions, "snapshot_id").count()
     used_pred = "http://www.w3.org/ns/prov#used"
     n_used = pads.dataset(store_root).count_rows(
         filter=pads.field("pred") == used_pred)

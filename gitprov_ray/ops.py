@@ -96,6 +96,30 @@ def materialize_normalized(ds, schema):
     return rd.from_arrow_refs(refs)
 
 
+def bucket_exchange(keyed_ds, fn, num_buckets: int):
+    """The flagship's one bucketed exchange: ``keyed_ds`` carries an int64
+    ``bucket`` column in ``[0, num_buckets)``; rows move to
+    ``P = min(num_buckets, fanout())`` partitions of CONTIGUOUS bucket
+    ranges fixed up front (a boundary-given sort — no sampling round, and a
+    bucket's partition depends only on its id, never on the input block
+    layout), and ``fn`` runs ONCE per partition block on Arrow.
+
+    Contract for ``fn``: it receives one or more WHOLE buckets (``bucket``
+    column included) and must give the same rows as applying it to each
+    bucket alone — true when every key it groups or sorts on determines
+    the bucket. Empty-frame policy: a partition that receives no rows
+    leaves the sort as a column-less empty block, and ``map_batches``
+    passes zero-row blocks on without calling ``fn``; so an empty input
+    gives zero rows and no schema, and ``materialize_normalized`` types
+    the result where a consumer needs one."""
+    from .util import fanout
+
+    p = min(num_buckets, fanout())
+    bounds = [i * num_buckets // p for i in range(1, p)]
+    return keyed_ds.sort("bucket", boundaries=bounds).map_batches(
+        fn, batch_format="pyarrow", batch_size=None)
+
+
 def _pa_type_of(value):
     """Arrow type for a sampled key value (ints widened to int64, floats to
     float64, plus dates/timestamps/binary via scalar inference)."""

@@ -1,19 +1,23 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.1 engine equivalent).
 
     read pages → map_batches(parse html → revision events)
-               → groupby(bucket(graph,page_key)).map_groups(lag_events)
+               → bucket_exchange(bucket(graph,page_key), lag_events)
                                  [exchange 1: event dedup + version lag,
                                   every event column carried]
                → map_batches(emit_stateless_arrow + emit_status_arrow
                              + flatten_batch_compact)   [compact triples]
                → union(agents' compact rows)
-               → groupby(compact bucket).map_groups     [exchange 2:
-                                  dedup + expand + sort → final graph]
+               → bucket_exchange(compact bucket, _dedup_expand_sort_group)
+                                 [exchange 2: dedup + expand + sort
+                                  → final graph]
 
 Two exchanges, one consumer per Dataset: everything streams, and no stage
-re-executes. The only materialized side input is the tiny contributors
-table (broadcast in the emit closure). Callers own the Ray session (the
-``__ray_entry__.py`` contract) — nothing here calls ``ray.init``.
+re-executes. Both exchanges are ``ops.bucket_exchange``: a boundary-given
+sort over fixed bucket ranges (no sampling round) and one kernel call per
+partition on whole buckets. The only materialized side input is the tiny
+contributors table (broadcast in the emit closure). Callers own the Ray
+session (the ``__ray_entry__.py`` contract) — nothing here calls
+``ray.init``.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ def _scratch_dir(fmt: str):
     """A fresh ``gitprov_<fmt>_*`` temp dir per call, removed once the
     caller's result is on the driver: a dir shared per ``sf_dir`` let
     concurrent runs delete each other's files. Only for queries that
-    return eager results — a lazy Dataset would read the dir later."""
+    return eager results or a materialized Dataset — a lazy one would
+    read the dir after it is gone."""
     out_dir = tempfile.mkdtemp(prefix=f"gitprov_{fmt}_")
     try:
         yield out_dir
@@ -1857,13 +1858,12 @@ def q_webdataset_roundtrip(sf_dir: str):
     """WebDataset tar-shard roundtrip (sources.write_webdataset /
     read_webdataset — the standard sharded multimodal training layout):
     documents become samples ({key}.txt + {key}.json + {key}.cls),
-    hash-sharded into tars under /tmp, read BACK shard-parallel, and
-    aggregated per lang from the .cls/.txt members — so the counts
-    prove the tar framing, sample grouping and member decode, not just
-    the write. The twin aggregates documents directly. Shards rewrite
-    each run (skip_existing=False) so stale caches can't leak between
-    scale factors."""
-    import hashlib as _h
+    hash-sharded into tars in a fresh per-call scratch dir
+    (``_scratch_dir``), read BACK shard-parallel, and aggregated per lang
+    from the .cls/.txt members — so the counts prove the tar framing,
+    sample grouping and member decode, not just the write. The twin
+    aggregates documents directly. The result is materialized before the
+    scratch dir is removed."""
     import json
 
     from . import sources
@@ -1880,13 +1880,6 @@ def q_webdataset_roundtrip(sf_dir: str):
                      for l, s in zip(df["lang"], df["source"])],
             "cls": df["n_chars"].astype("int64")})
 
-    wds_dir = "/tmp/gitprov_wds_" + _h.md5(
-        str(sf_dir).encode()).hexdigest()[:12]
-    sources.write_webdataset(ds.map_batches(to_sample,
-                                            batch_format="pandas"),
-                             wds_dir, num_shards=8, skip_existing=False)
-    back = sources.read_webdataset(wds_dir)
-
     def agg(df: pd.DataFrame) -> pd.DataFrame:
         lang = df["json"].map(lambda j: json.loads(j)["lang"])
         g = pd.DataFrame({
@@ -1896,15 +1889,20 @@ def q_webdataset_roundtrip(sf_dir: str):
             "sum_text_len": df["txt"].str.len().astype("int64")})
         return g.groupby("lang", as_index=False).sum()
 
-    out = (back.map_batches(agg, batch_format="pandas")
-           .groupby("lang")
-           .aggregate(Sum("n_docs", alias_name="n_docs"),
-                      Sum("sum_chars", alias_name="sum_chars"),
-                      Sum("sum_text_len", alias_name="sum_text_len")))
-    return out.map_batches(
-        lambda df: df.astype({"n_docs": "int64", "sum_chars": "int64",
-                              "sum_text_len": "int64"}),
-        batch_format="pandas").sort("lang")
+    with _scratch_dir("wds") as wds_dir:
+        sources.write_webdataset(ds.map_batches(to_sample,
+                                                batch_format="pandas"),
+                                 wds_dir, num_shards=8, skip_existing=False)
+        out = (sources.read_webdataset(wds_dir)
+               .map_batches(agg, batch_format="pandas")
+               .groupby("lang")
+               .aggregate(Sum("n_docs", alias_name="n_docs"),
+                          Sum("sum_chars", alias_name="sum_chars"),
+                          Sum("sum_text_len", alias_name="sum_text_len")))
+        return out.map_batches(
+            lambda df: df.astype({"n_docs": "int64", "sum_chars": "int64",
+                                  "sum_text_len": "int64"}),
+            batch_format="pandas").sort("lang").materialize()
 
 
 def q_upsert_events(sf_dir: str):

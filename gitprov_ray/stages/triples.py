@@ -42,15 +42,15 @@ def add_triple_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
 
 
 def _dedup_sort_group(t: pa.Table) -> pa.Table:
-    """One bucket → sorted + adjacent-deduped (all Arrow C++ kernels)."""
-    if isinstance(t, pd.DataFrame):  # map_groups may hand pandas
-        t = pa.Table.from_pandas(t, preserve_index=False).replace_schema_metadata(None)
+    """Whole buckets → sorted + adjacent-deduped (all Arrow C++ kernels;
+    the triple key determines the bucket, so any set of whole buckets
+    dedups exactly)."""
     if "bucket" in t.column_names:
         t = t.drop_columns(["bucket"])
-    t = t.sort_by([(c, "ascending") for c in _KEY_COLS])
     n = t.num_rows
     if n <= 1:
         return t
+    t = t.sort_by([(c, "ascending") for c in _KEY_COLS])
     keep = None
     for c in _KEY_COLS:
         col = t.column(c).combine_chunks()
@@ -66,12 +66,11 @@ def dedup_triples(triples_ds, num_buckets: int = 64):
     flagship dedups in the compact exchange instead
     (:func:`dedup_compact`); this re-dedups after
     canonicalization rewrites subj/obj (rewrites can collide rows)."""
+    from ..ops import bucket_exchange
+
     keyed = triples_ds.map_batches(
-        lambda b: add_triple_bucket(b, num_buckets), batch_format="pyarrow"
-    )
-    return keyed.groupby("bucket").map_groups(
-        _dedup_sort_group, batch_format="pyarrow",
-    )
+        lambda b: add_triple_bucket(b, num_buckets), batch_format="pyarrow")
+    return bucket_exchange(keyed, _dedup_sort_group, num_buckets)
 
 
 _GP_PREFIX = "https://gitprov.example/graph/"
@@ -256,13 +255,14 @@ def expand_compact(t: pa.Table) -> pa.Table:
 
 
 def _dedup_expand_sort_group(t: pa.Table) -> pa.Table:
-    """One compact bucket → hash-distinct on the compact key (Arrow C++
+    """Whole compact buckets → hash-distinct on the compact key (Arrow C++
     group_by, no sort) → expand URIs (Arrow kernels) → ONE in-partition
-    sort on the full triple key. The earlier shape sorted twice (compact
-    for adjacency-dedup, then full) — half the sort work for the same
-    rows."""
-    if isinstance(t, pd.DataFrame):
-        t = pa.Table.from_pandas(t, preserve_index=False).replace_schema_metadata(None)
+    sort on the full triple key. The compact key determines the bucket, so
+    any set of whole buckets gives the per-bucket rows. The earlier shape
+    sorted twice (compact for adjacency-dedup, then full) — half the sort
+    work for the same rows."""
+    if t.num_rows == 0:  # also a column-less empty partition
+        return schemas.TRIPLES.empty_table()
     if "bucket" in t.column_names:
         t = t.drop_columns(["bucket"])
     t = _decode_compact(t)
@@ -489,12 +489,14 @@ def flatten_batch_compact(batch: pa.Table) -> pa.Table:
 
 
 def dedup_compact(compact_ds, num_buckets: int = 64):
-    """compact rows → the dedup exchange → expanded partitions, each sorted
-    by the triple key (no global order across partitions)."""
+    """compact rows → the dedup exchange (``ops.bucket_exchange``) →
+    expanded partitions, each sorted by the triple key (no global order
+    across partitions)."""
+    from ..ops import bucket_exchange
+
     keyed = compact_ds.map_batches(
         lambda b: add_compact_bucket(b, num_buckets), batch_format="pyarrow")
-    return keyed.groupby("bucket").map_groups(
-        _dedup_expand_sort_group, batch_format="pyarrow")
+    return bucket_exchange(keyed, _dedup_expand_sort_group, num_buckets)
 
 
 def statements_to_triples_compact(statements_ds, num_buckets: int = 64):

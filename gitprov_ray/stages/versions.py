@@ -33,8 +33,9 @@ oracle's page-order semantics.
 
 Scale design: instead of one map_groups group per file key (per-group Python
 call overhead at 10^12 keys), the shuffle key is ``bucket =
-hash64(graph,page_key) % num_buckets`` — each group is a whole bucket and
-the per-key lag inside it is one vectorized pass. Hot keys spread over
+hash64(graph,page_key) % num_buckets`` and ``ops.bucket_exchange`` hands
+each kernel call a partition of whole buckets — the per-key lag inside it
+is one vectorized pass. Hot keys spread over
 buckets by the hash; a single pathological key still fits one bucket, which
 is the documented partitioning assumption (one key's event chain fits one
 worker — the same assumption the reference makes with its in-memory map).
@@ -94,8 +95,8 @@ def _first_rows(t: pa.Table, keys: list[str]) -> np.ndarray:
 
 
 def lag_events(batch: pa.Table) -> pa.Table:
-    """One hash bucket of events → its distinct events in per-key order,
-    plus two columns:
+    """One or more whole hash buckets of events → their distinct events in
+    per-key order, plus two columns:
 
     * ``lag_first`` — the row is the first event of its (graph, page_key,
       snapshot_id): the one whose status statements the oracle emits;
@@ -105,8 +106,11 @@ def lag_events(batch: pa.Table) -> pa.Table:
       other rows).
 
     Rows repeating an event identity (graph, page_key, snapshot_id,
-    event_seq) are dropped, the first in sort order kept. Any columns ride
-    along; an empty bucket returns the typed empty lagged table."""
+    event_seq) are dropped, the first in sort order kept. Every key here
+    determines the bucket, so a block of several whole buckets gives the
+    same rows as each bucket alone (the ``ops.bucket_exchange`` contract).
+    Any columns ride along; an empty block returns the typed empty lagged
+    table."""
     t = batch.drop_columns(["bucket"]) if "bucket" in batch.column_names \
         else batch
     if t.num_rows == 0:
@@ -213,13 +217,15 @@ def emit_status_arrow(lagged: pa.Table) -> pa.Table:
 
 
 def lag_exchange(events_ds, num_buckets: int = 64):
-    """Events Dataset → its lagged events (:func:`lag_events` per bucket):
-    the one keyed exchange, on hash(graph, page_key), every column carried
-    (SURVEY.md §4.3 shuffle #1)."""
+    """Events Dataset → its lagged events (:func:`lag_events` per
+    partition of whole buckets): the one keyed exchange, on
+    hash(graph, page_key) through ``ops.bucket_exchange``, every column
+    carried (SURVEY.md §4.3 shuffle #1)."""
+    from ..ops import bucket_exchange
+
     keyed = events_ds.map_batches(
         lambda b: add_bucket_column(b, num_buckets), batch_format="pyarrow")
-    return keyed.groupby("bucket").map_groups(lag_events,
-                                              batch_format="pyarrow")
+    return bucket_exchange(keyed, lag_events, num_buckets)
 
 
 def version_lag_group(df: pd.DataFrame) -> pd.DataFrame:

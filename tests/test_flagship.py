@@ -124,10 +124,12 @@ def test_flagship_from_pages_parquet(tiny_corpus, ray_session, tmp_path):
 def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
     """The flagship's logical plan holds exactly two all-to-all operators —
     the version-lag exchange and the triple dedup exchange — and no
-    Repartition: the events take one shuffle and are consumed once."""
+    Repartition: the events take one shuffle and are consumed once. Both
+    are ``ops.bucket_exchange`` Sorts on ``bucket`` with boundaries given
+    up front, so neither runs a sampling round."""
     import pyarrow.parquet as pq
     from ray.data._internal.logical.operators.all_to_all_operator import (
-        AbstractAllToAll, Repartition)
+        AbstractAllToAll, Repartition, Sort)
 
     from gitprov_ray.pipelines import flagship
 
@@ -142,8 +144,13 @@ def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
         if id(op) not in ops:
             ops[id(op)] = op
             todo.extend(op.input_dependencies)
-    assert sum(isinstance(o, AbstractAllToAll) for o in ops.values()) == 2
+    exchanges = [o for o in ops.values() if isinstance(o, AbstractAllToAll)]
+    assert len(exchanges) == 2
     assert not any(isinstance(o, Repartition) for o in ops.values())
+    for o in exchanges:
+        assert isinstance(o, Sort)
+        assert o._sort_key.get_columns() == ["bucket"]
+        assert o._sort_key.boundaries
 
 
 def test_triples_order_insensitive_to_input_permutation(ray_session):

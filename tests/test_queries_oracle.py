@@ -98,7 +98,8 @@ def test_multiprobe_recall_at_least_single_probe():
     ("q_delta_roundtrip_events", "delta", "events"),
     ("q_iceberg_roundtrip_docs", "iceberg", "documents"),
     ("q_xlsx_roundtrip_events", "xlsx", "events"),
-    ("q_avro_roundtrip_events", "avro", "events")])
+    ("q_avro_roundtrip_events", "avro", "events"),
+    ("q_webdataset_roundtrip", "wds", "documents")])
 def test_roundtrip_queries_leave_no_scratch_dir(name, fmt, table, con,
                                                 tmp_path):
     """Round-trip queries write to a fresh temp dir per call and remove it
@@ -122,5 +123,7 @@ def test_roundtrip_queries_leave_no_scratch_dir(name, fmt, table, con,
     before = scratch()
     res = QUERIES[name](str(sf))
     assert scratch() <= before
+    if not isinstance(res, pd.DataFrame):  # a materialized Dataset
+        res = res.to_pandas()
     a, b = _norm(res), _norm(con.sql(ORACLE_SQL[name]).df())
     pd.testing.assert_frame_equal(a, b)

@@ -1,6 +1,12 @@
 """Shuffle audit: build every registered query's LAZY Ray Data plan at
 sf0.001 and count the all-to-all exchanges (Sort / Aggregate / Repartition /
-Join / HashShuffle operators) in the final Dataset's plan string.
+Join / HashShuffle operators) in the final Dataset's logical plan.
+
+Sorts are reported in two kinds: ``Sort[bounds]`` partitions on boundaries
+given up front (``ops.bucket_exchange``), ``Sort[sampled]`` first runs a
+blocking boundary-sampling round over every input block (a plain
+``sort(key)`` and every sort-based ``groupby().map_groups``), so the audit
+shows which exchanges still pay that round.
 
 This is the static half of the 100-TB scale review: a query whose plan
 carries more exchanges than its algorithm needs is a candidate for the
@@ -34,6 +40,8 @@ def main() -> None:
 
     DataContext.get_current().enable_progress_bars = False
 
+    from ray.data._internal.logical.operators.all_to_all_operator import Sort
+
     from gitprov_ray.queries import QUERIES
 
     rows = []
@@ -52,7 +60,10 @@ def main() -> None:
         ops_seen: list[str] = []
 
         def walk(op):
-            ops_seen.append(type(op).__name__)
+            name = type(op).__name__
+            if isinstance(op, Sort):
+                name += "[bounds]" if op._sort_key.boundaries else "[sampled]"
+            ops_seen.append(name)
             for d in op.input_dependencies:
                 walk(d)
 
@@ -73,8 +84,11 @@ def main() -> None:
     counts = [int(n) for _, n, _ in rows if n.isdigit()]
     eager = sum(1 for _, n, _ in rows if n == "eager")
     err = sum(1 for _, n, _ in rows if n == "ERROR")
+    sampled = [d.count("Sort[sampled]") for _, n, d in rows if n.isdigit()]
     print(f"\nlazy plans: {len(counts)}, eager: {eager}, errors: {err}, "
-          f"max exchanges: {max(counts) if counts else 0}",
+          f"max exchanges: {max(counts) if counts else 0}, "
+          f"sampled sorts: {sum(sampled)} in "
+          f"{sum(1 for k in sampled if k)} plans",
           file=sys.stderr)
     ray.shutdown()
 
