@@ -71,8 +71,7 @@ def update(root: str, docs_ds, id_col: str = "doc_id",
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from .ops import semi_join
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange, bucket_ids, semi_join
 
     hashed = docs_ds.map_batches(
         lambda df: _hash_batch(df, id_col, text_col),
@@ -86,21 +85,12 @@ def update(root: str, docs_ds, id_col: str = "doc_id",
         fresh = hashed
 
     # in-batch dedup: first id per hash (A1 grouped-first)
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["text_md5"].astype(str)
-        df["bucket"] = stable_bucket(k, k, _NBUCKETS)
-        return df
-
     def first_per_hash(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col], kind="mergesort")
-        return df.drop_duplicates("text_md5", keep="first") \
-            .drop(columns=["bucket"])
+        return df.drop_duplicates("text_md5", keep="first")
 
-    novel = (fresh.map_batches(bucketize, batch_format="pandas")
-             .groupby("bucket").map_groups(first_per_hash,
-                                           batch_format="pandas")
-             .materialize())
+    novel = bucket_exchange(fresh, ["text_md5"], first_per_hash, _NBUCKETS,
+                            "pandas").materialize()
     novel_count = novel.count()
 
     # atomic append: stage new partition files, then rename into place
@@ -111,8 +101,8 @@ def update(root: str, docs_ds, id_col: str = "doc_id",
                                     batch_size=65536):
         if not len(batch):
             continue
-        b = (pd.util.hash_pandas_object(batch["text_md5"], index=False)
-             % _NBUCKETS).astype("int64")
+        b = bucket_ids(pa.table({"text_md5": batch["text_md5"]}),
+                       ["text_md5"], _NBUCKETS)
         for bucket, sub in batch.groupby(b):
             d = os.path.join(root, f"bucket={bucket:02d}")
             os.makedirs(d, exist_ok=True)

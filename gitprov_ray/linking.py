@@ -417,6 +417,10 @@ def _lsh_candidate_pairs(bands_ds, id_col: str, threshold: float):
             return bucket_pairs(df.head(0), id_col, threshold)
         return pd.concat(outs, ignore_index=True).drop_duplicates(["a", "b"])
 
+    # stays on map_groups (CLAUDE.md invariant 4): not bucket-agnostic —
+    # the closing drop_duplicates(a, b) spans bands, and past exact_limit
+    # a pair can emit from two bands, so several buckets in one call can
+    # give fewer rows than each bucket alone
     return bands_ds.groupby("bucket").map_groups(bucket_group,
                                                  batch_format="pyarrow")
 
@@ -896,10 +900,9 @@ def decontaminate_bucketed(docs_ds, bench_ds, n: int = 8,
     """Scale-path decontamination: corpus docs explode to distinct
     (id, gram) pairs, benchmark grams dedup distributed, the overlap is
     ONE bucketed semi-join on the gram (ops.semi_join), and per-doc
-    counts come from an in-bucket groupby (invariant 6: no Ray multi-key
+    counts come from an in-bucket groupby (invariant 4: no Ray multi-key
     aggregate). Neither gram set ever lands on the driver."""
-    from .ops import semi_join
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange, semi_join
 
     def explode(df: pd.DataFrame) -> pd.DataFrame:
         ids, gs = [], []
@@ -916,21 +919,13 @@ def decontaminate_bucketed(docs_ds, bench_ds, n: int = 8,
         batch_format="pandas")
     hits = semi_join(corpus, bench, left_key="g", right_key="g")
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[[id_col]].copy()
-        s = df[id_col].astype(str)
-        df["bucket"] = stable_bucket(s, s, num_buckets)
-        return df
-
     def count_group(df: pd.DataFrame) -> pd.DataFrame:
         a = df.groupby(id_col, sort=False).size()
         return pd.DataFrame({id_col: a.index.to_numpy(),
                              "n_overlap": a.to_numpy().astype(np.int64)})
 
-    return (hits.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: count_group(df.drop(columns="bucket")),
-                        batch_format="pandas"))
+    return bucket_exchange(hits.select_columns([id_col]), [id_col],
+                           count_group, num_buckets, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1001,15 +996,9 @@ def winnow_duplicate_pairs(docs_ds, k: int = 16, w: int = 8,
     shared by more than max_bucket_docs documents is boilerplate (emitting
     its O(g^2) pairs would blow up any engine) and is dropped — the same
     giant-bucket policy as the MinHash exchange (bucket_pairs)."""
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange
 
     fps = winnow_fingerprints(docs_ds, k, w, id_col, text_col)
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        s = df["fp"].astype(str)
-        df["bucket"] = stable_bucket(s, s, num_buckets)
-        return df
 
     def pairs_group(df: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -1033,16 +1022,8 @@ def winnow_duplicate_pairs(docs_ds, k: int = 16, w: int = 8,
                              "b": idx["b"].to_numpy(),
                              "shared": c.to_numpy().astype(np.int64)})
 
-    per_bucket = (fps.map_batches(bucketize, batch_format="pandas")
-                  .groupby("bucket")
-                  .map_groups(lambda df: pairs_group(df.drop(columns="bucket")),
-                              batch_format="pandas"))
-
-    def rebucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        s = df["a"].astype(str) + ":" + df["b"].astype(str)
-        df["bucket"] = stable_bucket(s, s, num_buckets)
-        return df
+    per_bucket = bucket_exchange(fps, ["fp"], pairs_group, num_buckets,
+                                 "pandas")
 
     def sum_group(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(["a", "b"], sort=False, as_index=False)["shared"].sum()
@@ -1051,10 +1032,8 @@ def winnow_duplicate_pairs(docs_ds, k: int = 16, w: int = 8,
                              "b": g["b"].to_numpy(),
                              "shared": g["shared"].astype("int64").to_numpy()})
 
-    return (per_bucket.map_batches(rebucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: sum_group(df.drop(columns="bucket")),
-                        batch_format="pandas"))
+    return bucket_exchange(per_bucket, ["a", "b"], sum_group, num_buckets,
+                           "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1154,8 +1133,8 @@ def containment_pairs(docs_ds, id_col: str = "doc_id",
 
     import ray.data as rd
 
-    from .ops import _default_partitions, _pa_type_of, materialize_normalized
-    from .stages.versions import stable_bucket
+    from .ops import (_default_partitions, _pa_type_of, bucket_exchange,
+                      materialize_normalized, sum_by_key)
 
     P = _default_partitions()
 
@@ -1166,9 +1145,7 @@ def containment_pairs(docs_ds, id_col: str = "doc_id",
         docs = np.repeat(df[id_col].to_numpy(), reps)
         g = (np.concatenate(uniq) if uniq else
              np.empty(0, dtype=np.uint64)).astype("uint64")
-        out = pd.DataFrame({"doc": docs, "g": g})
-        out["bucket"] = (g % np.uint64(num_buckets)).astype("int64")
-        return out
+        return pd.DataFrame({"doc": docs, "g": g})
 
     def sizes_rows(df: pd.DataFrame) -> pd.DataFrame:
         hs = _shingle_hashes_batch(list(df[text_col]))
@@ -1193,22 +1170,10 @@ def containment_pairs(docs_ds, id_col: str = "doc_id",
         return g.rename(columns={"doc_x": "a", "doc_y": "b"}) \
             .astype({"i": "int64"})
 
-    part = (docs_ds.map_batches(gram_rows, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: bucket_pairs(df.drop(columns=["bucket"])),
-                        batch_format="pandas"))
-
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["a"].astype(str) + "|" + df["b"].astype(str)
-        df["pb"] = stable_bucket(k, k, num_buckets)
-        return df
-
-    inter = (part.map_batches(pair_bucket, batch_format="pandas")
-             .groupby("pb")
-             .map_groups(lambda df: df.groupby(["a", "b"], sort=False,
-                                               as_index=False)["i"].sum(),
-                         batch_format="pandas"))
+    part = bucket_exchange(
+        docs_ds.map_batches(gram_rows, batch_format="pandas"), ["g"],
+        bucket_pairs, num_buckets, "pandas")
+    inter = sum_by_key(part, ["a", "b"], ["i"], num_buckets)
     sample = inter.take(1)
     dsample = docs_ds.take(1)
     idt = _pa_type_of(dsample[0][id_col]) if dsample else pa.string()
@@ -1285,8 +1250,7 @@ def paragraph_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     import pyarrow as pa
 
-    from .ops import _default_partitions, materialize_normalized
-    from .stages.versions import stable_bucket
+    from .ops import _default_partitions, bucket_exchange, materialize_normalized
 
     P = _default_partitions()
 
@@ -1299,21 +1263,13 @@ def paragraph_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "k"].min().reset_index()
         return g
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        key = df["h"].map(lambda b: b.hex())
-        df["bucket"] = stable_bucket(key, key, 64)
-        return df
-
     def winner_reduce(df: pd.DataFrame) -> pd.DataFrame:
         k = df.groupby("h", sort=False)["k"].min()
         return pd.DataFrame({"k": k.to_numpy(dtype=np.int64)})
 
-    winners = (ds.map_batches(winner_partial, batch_format="pandas")
-               .map_batches(bucketize, batch_format="pandas")
-               .groupby("bucket")
-               .map_groups(lambda df: winner_reduce(
-                   df.drop(columns=["bucket"])), batch_format="pandas"))
+    winners = bucket_exchange(
+        ds.map_batches(winner_partial, batch_format="pandas"), ["h"],
+        winner_reduce, 64, "pandas")
     marked = winners.map_batches(
         lambda df: df.assign(__keep=np.int8(1)), batch_format="pandas")
     marked = materialize_normalized(marked, pa.schema(
@@ -1338,12 +1294,6 @@ def paragraph_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             batch_format="pandas")
     joined = exploded.join(marked, "left_outer", P, on=("k",))
 
-    def doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        key = df[id_col].astype(str)
-        df["bucket"] = stable_bucket(key, key, 64)
-        return df
-
     def reassemble(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col, "idx"], kind="mergesort")
         keep = df["__keep"].notna().to_numpy()
@@ -1359,10 +1309,7 @@ def paragraph_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             "dedup_text": texts.reindex(total.index, fill_value="")
             .to_numpy()})
 
-    return (joined.map_batches(doc_bucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: reassemble(df.drop(columns=["bucket"])),
-                        batch_format="pandas"))
+    return bucket_exchange(joined, [id_col], reassemble, 64, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -1387,8 +1334,7 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     """
     import pyarrow as pa
 
-    from .ops import _default_partitions, materialize_normalized
-    from .stages.versions import stable_bucket
+    from .ops import _default_partitions, bucket_exchange, materialize_normalized
 
     P = _default_partitions()
 
@@ -1411,21 +1357,13 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({"h": g.index.to_numpy(),
                              "n": g.to_numpy(dtype=np.int64)})
 
-    def bucketize_h(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = stable_bucket(df["h"], df["h"], 64)
-        return df
-
     def dup_reduce(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("h", sort=False)["n"].sum()
         keep = g[g > 1]
         return pd.DataFrame({"h": keep.index.to_numpy()})
 
-    dups = (ds.map_batches(hash_rows, batch_format="pandas")
-            .map_batches(bucketize_h, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: dup_reduce(df.drop(columns=["bucket"])),
-                        batch_format="pandas"))
+    dups = bucket_exchange(ds.map_batches(hash_rows, batch_format="pandas"),
+                           ["h"], dup_reduce, 64, "pandas")
     marked = dups.map_batches(
         lambda df: df.assign(__dup=np.int8(1)), batch_format="pandas")
     marked = materialize_normalized(marked, pa.schema(
@@ -1464,12 +1402,6 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
     else:
         joined = wins.join(marked, "left_outer", P, on=("h",))
 
-    def doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df[id_col].astype(str)
-        df["bucket"] = stable_bucket(k, k, 64)
-        return df
-
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([id_col, "widx"], kind="mergesort")
         flag = df["__dup"].notna().to_numpy() & (df["widx"].to_numpy() >= 0)
@@ -1497,10 +1429,7 @@ def dup_span_stats(ds, id_col: str = "doc_id", text_col: str = "text",
             "dup_milli": (dupn.to_numpy(dtype=np.int64) * 1000
                           // np.maximum(nw.to_numpy(dtype=np.int64), 1))})
 
-    return (joined.map_batches(doc_bucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: per_doc(df.drop(columns=["bucket"])),
-                        batch_format="pandas"))
+    return bucket_exchange(joined, [id_col], per_doc, 64, "pandas")
 
 
 _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -1538,7 +1467,7 @@ def hamming_neardup_pairs(ds, max_hamming: int = 3,
     Same lossless 4x16 pigeonhole blocking, one stable-bucket exchange,
     in-group XOR+popcount verify, emit-once-per-first-equal-band.
     → (a, b, hamming) with a < b."""
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange
 
     def sig(df: pd.DataFrame) -> pd.DataFrame:
         h = df["hex"].astype(str)
@@ -1549,10 +1478,7 @@ def hamming_neardup_pairs(ds, max_hamming: int = 3,
                 "hex": h.to_numpy(),
                 "band": np.int64(band),
                 "sub": h.str.slice(band * 4, band * 4 + 4).to_numpy()}))
-        r = pd.concat(parts, ignore_index=True)
-        key = r["band"].astype(str) + ":" + r["sub"].astype(str)
-        r["bucket"] = stable_bucket(key, key, num_buckets)
-        return r
+        return pd.concat(parts, ignore_index=True)
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
         res_a: list = []
@@ -1589,6 +1515,5 @@ def hamming_neardup_pairs(ds, max_hamming: int = 3,
                              "b": pd.Series(res_b, dtype="int64"),
                              "hamming": pd.Series(res_h, dtype="int64")})
 
-    return (ds.map_batches(sig, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(pairs, batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(sig, batch_format="pandas"),
+                           ["band", "sub"], pairs, num_buckets, "pandas")

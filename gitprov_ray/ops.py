@@ -38,20 +38,8 @@ def salted_value_counts(ds, col: str, num_salts: int = 16,
     partials = ds.map_batches(partial, batch_format="pandas")
 
     if final == "shuffle":
-        from .stages.versions import stable_bucket
-
-        def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            s = df[col].astype(str)
-            df["bucket"] = stable_bucket(s, s, max(8, num_salts))
-            return df
-
-        combined = (partials.map_batches(bucketize, batch_format="pandas")
-                    .groupby("bucket")
-                    .map_groups(lambda df: df.groupby(col, sort=False,
-                                                      as_index=False)["n"].sum(),
-                                batch_format="pandas")
-                    .to_pandas())
+        combined = sum_by_key(partials, [col], ["n"],
+                              max(8, num_salts)).to_pandas()
         return combined.sort_values(col).reset_index(drop=True)
 
     merged = partials.to_pandas().groupby(col, as_index=False)["n"].sum()
@@ -96,28 +84,121 @@ def materialize_normalized(ds, schema):
     return rd.from_arrow_refs(refs)
 
 
-def bucket_exchange(keyed_ds, fn, num_buckets: int):
-    """The flagship's one bucketed exchange: ``keyed_ds`` carries an int64
-    ``bucket`` column in ``[0, num_buckets)``; rows move to
-    ``P = min(num_buckets, fanout())`` partitions of CONTIGUOUS bucket
-    ranges fixed up front (a boundary-given sort — no sampling round, and a
-    bucket's partition depends only on its id, never on the input block
-    layout), and ``fn`` runs ONCE per partition block on Arrow.
+def _key_strings(col):
+    """One key column as Arrow strings, spelled as pandas ``astype(str)``
+    spells them (``None`` for a null string), so the bucket of a key does
+    not depend on whether it arrived as Arrow or pandas; binary keys are
+    spelled in hex."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    Contract for ``fn``: it receives one or more WHOLE buckets (``bucket``
-    column included) and must give the same rows as applying it to each
-    bucket alone — true when every key it groups or sorts on determines
-    the bucket. Empty-frame policy: a partition that receives no rows
-    leaves the sort as a column-less empty block, and ``map_batches``
-    passes zero-row blocks on without calling ``fn``; so an empty input
-    gives zero rows and no schema, and ``materialize_normalized`` types
-    the result where a consumer needs one."""
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    t = col.type
+    if pa.types.is_string(t) or pa.types.is_large_string(t):
+        return pc.fill_null(col, "None") if col.null_count else col
+    if pa.types.is_integer(t) and col.null_count == 0:
+        return pc.cast(col, pa.string())
+    s = col.to_pandas()
+    if pa.types.is_binary(t) or pa.types.is_large_binary(t):
+        s = s.map(bytes.hex, na_action="ignore")
+    return pa.array(s.astype(str), pa.string())
+
+
+def bucket_ids(table, key_cols, num_buckets: int) -> np.ndarray:
+    """The one bucket hash: int64 ids in ``[0, num_buckets)`` per row of an
+    Arrow ``table``, ``pd.util.hash_array`` (fixed-key siphash, the same in
+    every process and run) over the ``"\x1f"``-joined string key. Persisted
+    layouts depend on it (``sources.write_partitioned``, the WebDataset
+    shards, the dedup index's ``bucket=NN``), so its values never change.
+    ``key_cols=None`` keys on every column (in name order); no key columns
+    put every row in bucket 0."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if key_cols is None:
+        key_cols = sorted(table.column_names)
+    if not key_cols:
+        return np.zeros(table.num_rows, dtype=np.int64)
+    parts = [_key_strings(table.column(c)) for c in key_cols]
+    key = parts[0] if len(parts) == 1 else \
+        pc.binary_join_element_wise(*parts, "\x1f")
+    if isinstance(key, pa.ChunkedArray):
+        key = key.combine_chunks()
+    h = pd.util.hash_array(key.to_numpy(zero_copy_only=False))
+    return (h % num_buckets).astype(np.int64)
+
+
+def stable_bucket(graph: pd.Series, key: pd.Series,
+                  num_buckets: int) -> np.ndarray:
+    """:func:`bucket_ids` of the pandas pair (graph, key), both spelled
+    ``astype(str)`` — the id the partitioned writers persist."""
+    import pyarrow as pa
+
+    t = pa.table({"g": pa.array(graph.astype(str), pa.string()),
+                  "k": pa.array(key.astype(str), pa.string())})
+    return bucket_ids(t, ["g", "k"], num_buckets)
+
+
+def bucket_exchange(ds, key_cols, fn, num_buckets: int,
+                    batch_format: str = "pyarrow"):
+    """The one keyed shuffle. Each row gets the ``bucket`` of its
+    ``key_cols`` (:func:`bucket_ids`, on the Arrow map side, so every
+    non-empty block entering the sort is Arrow), rows move to ``P = min(num_buckets,
+    fanout())`` partitions of CONTIGUOUS bucket ranges fixed up front (a
+    boundary-given sort — no sampling round, and a bucket's partition
+    depends only on its id, never on the input block layout), and ``fn``
+    runs ONCE per partition on its rows, ``bucket`` column dropped, as a
+    ``batch_format`` batch.
+
+    Contract for ``fn``: it receives one or more WHOLE buckets and must
+    give the same rows as applying it to each bucket alone — true when
+    every key it groups or sorts on determines the bucket. Empty-frame
+    policy: a partition that receives no rows leaves the sort as a
+    column-less empty block, and ``map_batches`` passes zero-row blocks on
+    without calling ``fn``; so an empty input gives zero rows and no
+    schema, and ``materialize_normalized`` types the result where a
+    consumer needs one."""
+    import pyarrow as pa
+
     from .util import fanout
+
+    def keyed(t: pa.Table) -> pa.Table:
+        return t.append_column("bucket", pa.array(
+            bucket_ids(t, key_cols, num_buckets), pa.int64()))
+
+    def reduce(batch):
+        if batch_format == "pandas":
+            return fn(batch.drop(columns="bucket"))
+        return fn(batch.drop_columns(["bucket"]))
 
     p = min(num_buckets, fanout())
     bounds = [i * num_buckets // p for i in range(1, p)]
-    return keyed_ds.sort("bucket", boundaries=bounds).map_batches(
-        fn, batch_format="pyarrow", batch_size=None)
+    return (ds.map_batches(keyed, batch_format="pyarrow")
+            .sort("bucket", boundaries=bounds)
+            .map_batches(reduce, batch_format=batch_format, batch_size=None))
+
+
+def distinct_rows(ds, key_cols, num_buckets: int = 64):
+    """Rows distinct on ``key_cols`` (``None``: every column), one row kept
+    per key: a per-batch ``drop_duplicates`` combiner, then one
+    :func:`bucket_exchange`."""
+    def dedup(df: pd.DataFrame) -> pd.DataFrame:
+        return df.drop_duplicates(key_cols)
+
+    return bucket_exchange(ds.map_batches(dedup, batch_format="pandas"),
+                           key_cols, dedup, num_buckets, "pandas")
+
+
+def sum_by_key(ds, key_cols: list[str], val_cols: list[str],
+               num_buckets: int = 64):
+    """Per-key sums of ``val_cols`` (the combine side of a partial
+    aggregate) through one :func:`bucket_exchange`; other columns drop."""
+    def total(df: pd.DataFrame) -> pd.DataFrame:
+        return df.groupby(key_cols, sort=False, as_index=False)[
+            val_cols].sum()
+
+    return bucket_exchange(ds, key_cols, total, num_buckets, "pandas")
 
 
 def _pa_type_of(value):
@@ -139,16 +220,10 @@ def _pa_type_of(value):
         return pa.string()
 
 
-def distinct_keys(ds, key: str, num_partitions: int | None = None):
-    """Distributed distinct on one key column: per-batch local dedup
-    (combiner) then a hash-aggregate shuffle. Never materializes the key
-    set on the driver."""
-    from ray.data.aggregate import Count
-
-    local = ds.select_columns([key]).map_batches(
-        lambda df: df.drop_duplicates([key]), batch_format="pandas")
-    agg = local.groupby(key).aggregate(Count(on=key, alias_name="__cnt"))
-    return agg.map_batches(lambda df: df[[key]], batch_format="pandas")
+def distinct_keys(ds, key: str):
+    """Distributed distinct on one key column (:func:`distinct_rows`).
+    Never materializes the key set on the driver."""
+    return distinct_rows(ds.select_columns([key]), [key])
 
 
 def semi_join(left_ds, right_ds, left_key: str, right_key: str,
@@ -169,7 +244,7 @@ def semi_join(left_ds, right_ds, left_key: str, right_key: str,
 
     if num_partitions is None:
         num_partitions = _default_partitions()
-    keys = distinct_keys(right_ds, right_key, num_partitions)
+    keys = distinct_keys(right_ds, right_key)
     sample = keys.take(1)
     if not sample:
         # empty right side: semi keeps nothing, anti keeps everything
@@ -245,7 +320,7 @@ def bloom_semi_join(left_ds, right_ds, left_key: str, right_key: str,
     add survivors, so the result is exactly the semi join."""
     import ray
 
-    keys = distinct_keys(right_ds, right_key, num_partitions)
+    keys = distinct_keys(right_ds, right_key)
 
     def local_bitmap(df: pd.DataFrame) -> pd.DataFrame:
         bm = np.zeros(m_bits // 8, dtype=np.uint8)
@@ -429,20 +504,8 @@ def salted_sum(ds, key_col: str, val_col: str, num_salts: int = 16,
     out_col = f"sum_{val_col}"
 
     if final == "shuffle":
-        from .stages.versions import stable_bucket
-
-        def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.copy()
-            s = df[key_col].astype(str)
-            df["bucket"] = stable_bucket(s, s, max(8, num_salts))
-            return df
-
-        merged = (partials.map_batches(bucketize, batch_format="pandas")
-                  .groupby("bucket")
-                  .map_groups(lambda df: df.groupby(key_col, sort=False,
-                                                    as_index=False)["v"].sum(),
-                              batch_format="pandas")
-                  .to_pandas())
+        merged = sum_by_key(partials, [key_col], ["v"],
+                            max(8, num_salts)).to_pandas()
     else:
         merged = partials.to_pandas().groupby(key_col, as_index=False)["v"].sum()
     return merged.rename(columns={"v": out_col}) \
@@ -450,23 +513,9 @@ def salted_sum(ds, key_col: str, val_col: str, num_salts: int = 16,
 
 
 def _dedup_pairs(ds, a: str, b: str, num_buckets: int = 32):
-    """Distinct (a, b) pairs via per-batch combiner + ONE stable_bucket
-    shuffle (invariant 6: Ray's multi-key aggregate is ~20× slower)."""
-    from .stages.versions import stable_bucket
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates([a, b])
-        if len(df) == 0:
-            return df.assign(bucket=pd.Series([], dtype="int64"))
-        df = df.copy()
-        key = df[a].astype(str) + "\x1f" + df[b].astype(str)
-        df["bucket"] = stable_bucket(key, key, num_buckets)
-        return df
-
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df.drop(columns="bucket")
-                        .drop_duplicates([a, b]), batch_format="pandas"))
+    """Distinct (a, b) pairs via per-batch combiner + ONE bucket exchange
+    (invariant 4: Ray's multi-key aggregate is ~20× slower)."""
+    return distinct_rows(ds, [a, b], num_buckets)
 
 
 def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
@@ -478,7 +527,7 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
     ``Dataset.join`` rounds close any graph — a 250-hop chain needs 8
     rounds, not 250 (semi-naive iteration). Each round joins the set
     with itself on dst==src, unions, and dedups through one
-    stable_bucket shuffle; fixpoint = pair count unchanged.
+    bucket exchange; fixpoint = pair count unchanged.
 
     Scale note: the RESULT is inherently quadratic in chain length
     (that is the semantics of closure, not an implementation cost);
@@ -492,8 +541,8 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
     sample = total.take(1)
     if not sample:
         return total.limit(0)                 # empty relation
-    # invariant 7: _dedup_pairs' map_groups emits column-less empty
-    # blocks for empty buckets; normalize before EVERY Dataset.join
+    # invariant 7: _dedup_pairs' exchange emits column-less empty
+    # blocks for empty partitions; normalize before EVERY Dataset.join
     # (small fixtures leave most of the 32 buckets empty)
     tschema = pa.schema([(src, _pa_type_of(sample[0][src])),
                          (dst, _pa_type_of(sample[0][dst]))])
@@ -664,7 +713,7 @@ def asof_join(left_ds, right_ds, key: str, ts: str, left_cols: list[str],
     left.ts`` for the same ``key`` — DuckDB ``ASOF LEFT JOIN`` semantics,
     ``pd.merge_asof`` inside co-partitioned buckets.
 
-    Shape: ONE stable_bucket shuffle total — both sides are schema-aligned
+    Shape: ONE bucket exchange total — both sides are schema-aligned
     (missing columns null-filled), tagged and unioned so each key's rows
     land in the same reduce group; inside the group a vectorized
     merge_asof runs. The right side is never broadcast, so the op composes
@@ -673,8 +722,6 @@ def asof_join(left_ds, right_ds, key: str, ts: str, left_cols: list[str],
     (salt hot keys upstream if not). Left id columns ride the union as
     float64 (null-fill promotion) — cast them back downstream.
     """
-    from .stages.versions import stable_bucket
-
     cols = [key, ts] + list(left_cols) + list(right_vals)
 
     def tag(side: int):
@@ -686,9 +733,7 @@ def asof_join(left_ds, right_ds, key: str, ts: str, left_cols: list[str],
             for c in right_vals:
                 out[c] = df[c].to_numpy() if side == 1 else np.nan
             out["__side"] = np.int8(side)
-            k = out[key].astype(str)
-            out["bucket"] = stable_bucket(k, k, num_buckets)
-            return out[cols + ["__side", "bucket"]]
+            return out[cols + ["__side"]]
         return f
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
@@ -704,9 +749,8 @@ def asof_join(left_ds, right_ds, key: str, ts: str, left_cols: list[str],
 
     tagged_l = left_ds.map_batches(tag(0), batch_format="pandas")
     tagged_r = right_ds.map_batches(tag(1), batch_format="pandas")
-    return (tagged_l.union(tagged_r)
-            .groupby("bucket")
-            .map_groups(merge, batch_format="pandas"))
+    return bucket_exchange(tagged_l.union(tagged_r), [key], merge,
+                           num_buckets, "pandas")
 
 
 def morton2(x: np.ndarray, y: np.ndarray, bits: int = 16) -> np.ndarray:
@@ -803,13 +847,11 @@ def merge_upsert(base_ds, changes_ds, keys: list[str], order: list[str],
 
     Shape: per-batch PARTIAL winner combine (vectorized mergesort +
     drop_duplicates — at most one row per key per batch moves), ONE
-    stable_bucket exchange, per-bucket final argmax. Neither side is
+    bucket exchange, per-bucket final argmax. Neither side is
     broadcast or driver-collected, so the op composes at 100 TB; the
     partitioning assumption is only that one key's candidate winners
     (≤ one per upstream batch) fit a reducer.
     """
-    from .stages.versions import stable_bucket
-
     ordcols = list(order) + ["__src"]
 
     def tag(src: int):
@@ -821,28 +863,23 @@ def merge_upsert(base_ds, changes_ds, keys: list[str], order: list[str],
             return out[sorted(out.columns)]
         return f
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(list(keys) + ordcols, kind="mergesort") \
+    def winners(df: pd.DataFrame) -> pd.DataFrame:
+        return df.sort_values(list(keys) + ordcols, kind="mergesort") \
             .drop_duplicates(subset=list(keys), keep="last")
-        k = df[keys[0]].astype(str)
-        for c in keys[1:]:
-            k = k + "\x1f" + df[c].astype(str)
-        return df.assign(bucket=stable_bucket(k, k, num_buckets))
 
     def final(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(list(keys) + ordcols, kind="mergesort") \
-            .drop_duplicates(subset=list(keys), keep="last")
+        df = winners(df)
         if delete_col is not None:
             df = df[~df[delete_col].astype(bool)]
             df = df.drop(columns=[delete_col])
-        return df.drop(columns=["bucket", "__src"])
+        return df.drop(columns=["__src"])
 
     base_t = base_ds.map_batches(tag(0), batch_format="pandas")
     chg_t = changes_ds.map_batches(tag(1), batch_format="pandas")
-    return (base_t.map_batches(partial, batch_format="pandas")
-            .union(chg_t.map_batches(partial, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(final, batch_format="pandas"))
+    return bucket_exchange(
+        base_t.map_batches(winners, batch_format="pandas")
+        .union(chg_t.map_batches(winners, batch_format="pandas")),
+        list(keys), final, num_buckets, "pandas")
 
 
 def band_join_count(left_ds, right_ds, ts: str, band_us: int,
@@ -863,16 +900,12 @@ def band_join_count(left_ds, right_ds, ts: str, band_us: int,
     replication factor is ≤ 2 on the (small, filtered) right side.
     """
     assert band_us <= bucket_width_us, "halo only covers one bucket back"
-    from .stages.versions import stable_bucket
 
     def tag_left(df: pd.DataFrame) -> pd.DataFrame:
         t = df[ts].astype("int64")          # epoch micros
-        out = pd.DataFrame({id_col: df[id_col].to_numpy(), "__t": t,
-                            "__tb": t // bucket_width_us,
-                            "__side": np.int8(0)})
-        k = out["__tb"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
+        return pd.DataFrame({id_col: df[id_col].to_numpy(), "__t": t,
+                             "__tb": t // bucket_width_us,
+                             "__side": np.int8(0)})
 
     def tag_right(df: pd.DataFrame) -> pd.DataFrame:
         t = df[ts].astype("int64").to_numpy()
@@ -881,11 +914,8 @@ def band_join_count(left_ds, right_ds, ts: str, band_us: int,
         tb = np.concatenate([home, halo])
         tt = np.concatenate([t, t])
         keep = np.concatenate([np.ones(len(t), bool), halo != home])
-        out = pd.DataFrame({id_col: np.int64(-1), "__t": tt[keep],
-                            "__tb": tb[keep], "__side": np.int8(1)})
-        k = out["__tb"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
+        return pd.DataFrame({id_col: np.int64(-1), "__t": tt[keep],
+                             "__tb": tb[keep], "__side": np.int8(1)})
 
     def count(df: pd.DataFrame) -> pd.DataFrame:
         outs = []
@@ -906,8 +936,8 @@ def band_join_count(left_ds, right_ds, ts: str, band_us: int,
 
     tl = left_ds.map_batches(tag_left, batch_format="pandas")
     tr = right_ds.map_batches(tag_right, batch_format="pandas")
-    return tl.union(tr).groupby("bucket").map_groups(
-        count, batch_format="pandas")
+    return bucket_exchange(tl.union(tr), ["__tb"], count, num_buckets,
+                           "pandas")
 
 
 def bfs_distances(edges_ds, source: int, src: str = "s", dst: str = "o",
@@ -1291,32 +1321,9 @@ def triangle_count(edges_ds, s_col: str = "s", o_col: str = "o",
     """
     import logging
 
-    from .stages.versions import stable_bucket
-
     log = logging.getLogger(__name__)
-
-    def orient(df: pd.DataFrame) -> pd.DataFrame:
-        s = df[s_col].to_numpy()
-        o = df[o_col].to_numpy()
-        u, v = np.minimum(s, o), np.maximum(s, o)
-        keep = u != v
-        out = pd.DataFrame({"u": u[keep], "v": v[keep]}).drop_duplicates()
-        k = out["u"].astype(str) + ":" + out["v"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
-
-    edges = (edges_ds.map_batches(orient, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(lambda df: df.drop(columns="bucket")
-                         .drop_duplicates(),
-                         batch_format="pandas")
-             .materialize())          # reused twice below (invariant 10)
-
-    def bucket_by_u(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["u"].astype(str)
-        df["bucket"] = stable_bucket(k, k, num_buckets)
-        return df
+    edges = _orient_dedup_edges(edges_ds, s_col, o_col, num_buckets) \
+        .materialize()                # reused twice below (invariant 10)
 
     def wedges(df: pd.DataFrame) -> pd.DataFrame:
         out_v, out_w = [], []
@@ -1338,10 +1345,7 @@ def triangle_count(edges_ds, s_col: str = "s", o_col: str = "o",
         return pd.DataFrame({"u2": np.concatenate(out_v),
                              "v2": np.concatenate(out_w)})
 
-    wedge_ds = (edges.map_batches(bucket_by_u, batch_format="pandas")
-                .groupby("bucket")
-                .map_groups(lambda df: wedges(df.drop(columns="bucket")),
-                            batch_format="pandas"))
+    wedge_ds = bucket_exchange(edges, ["u"], wedges, num_buckets, "pandas")
 
     def key_pairs(df: pd.DataFrame, a: str, b: str) -> pd.DataFrame:
         return pd.DataFrame(
@@ -1371,8 +1375,6 @@ def profile_columns(ds, cols: list[str]):
     """
     from ray.data.aggregate import Max, Min, Sum
 
-    from .stages.versions import stable_bucket
-
     def stat_partial(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for c in cols:
@@ -1400,23 +1402,15 @@ def profile_columns(ds, cols: list[str]):
             frames.append(pd.DataFrame({"col_name": c, "val": u}))
         return pd.concat(frames, ignore_index=True)
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        key = df["col_name"] + ":" + df["val"].astype(str)
-        df["bucket"] = stable_bucket(key, key, 64)
-        return df
-
     def count_part(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["col_name", "val"])
         g = d.groupby("col_name", sort=False).size()
         return pd.DataFrame({"col_name": g.index.to_numpy(),
                              "n_distinct": g.to_numpy(dtype=np.int64)})
 
-    dist = (ds.map_batches(distinct_partial, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: count_part(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    dist = (bucket_exchange(
+                ds.map_batches(distinct_partial, batch_format="pandas"),
+                ["col_name", "val"], count_part, 64, "pandas")
             .groupby("col_name")
             .aggregate(Sum("n_distinct", alias_name="n_distinct"))
             .to_pandas())
@@ -1842,48 +1836,40 @@ def kmv_set_ops(ds_a, ds_b, col: str, k: int = 64):
 def _orient_dedup_edges(edges_ds, s_col: str, o_col: str,
                         num_buckets: int):
     """Shared edge normalizer for the undirected-graph ops: orient u<v,
-    drop self-loops, global dedup in ONE bucketed shuffle (the same
-    shape as :func:`triangle_count`'s front end)."""
-    from .stages.versions import stable_bucket
-
+    drop self-loops, global dedup in ONE bucket exchange (the front end
+    of :func:`triangle_count`, :func:`kcore` and the neighborhood ops)."""
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         s = df[s_col].to_numpy()
         o = df[o_col].to_numpy()
         u, v = np.minimum(s, o), np.maximum(s, o)
         keep = u != v
-        out = pd.DataFrame({"u": u[keep], "v": v[keep]}).drop_duplicates()
-        k = out["u"].astype(str) + ":" + out["v"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
+        return pd.DataFrame({"u": u[keep], "v": v[keep]})
 
-    return (edges_ds.map_batches(orient, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df.drop(columns="bucket")
-                        .drop_duplicates(),
-                        batch_format="pandas"))
+    return distinct_rows(edges_ds.map_batches(orient, batch_format="pandas"),
+                         ["u", "v"], num_buckets)
+
+
+def _adjacency(df: pd.DataFrame) -> pd.DataFrame:
+    """Oriented (u, v) edges → both directions as (z, nb) rows."""
+    z = pd.concat([df["u"], df["v"]], ignore_index=True)
+    nb = pd.concat([df["v"], df["u"]], ignore_index=True)
+    return pd.DataFrame({"z": z.to_numpy(np.int64),
+                         "nb": nb.to_numpy(np.int64)})
 
 
 def _edge_degrees(edges, num_buckets: int):
     """(node, d) undirected degrees of an oriented (u, v) edge Dataset:
-    per-batch partial value_counts over both endpoints, ONE bucketed
-    combine (invariant 6: high-cardinality group-by goes through
-    stable_bucket map_groups, not Ray's hash aggregate)."""
-    from .stages.versions import stable_bucket
-
+    per-batch partial value_counts over both endpoints, ONE bucket
+    exchange combine (invariant 4: high-cardinality group-by goes
+    through the exchange, not Ray's hash aggregate)."""
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         vc = pd.concat([df["u"], df["v"]],
                        ignore_index=True).value_counts()
-        out = pd.DataFrame({"node": vc.index.to_numpy(np.int64),
-                            "d": vc.to_numpy(np.int64)})
-        k = out["node"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
+        return pd.DataFrame({"node": vc.index.to_numpy(np.int64),
+                             "d": vc.to_numpy(np.int64)})
 
-    return (edges.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df.drop(columns="bucket")
-                        .groupby("node", as_index=False)["d"].sum(),
-                        batch_format="pandas"))
+    return sum_by_key(edges.map_batches(partial, batch_format="pandas"),
+                      ["node"], ["d"], num_buckets)
 
 
 def kcore(edges_ds, k: int = 3, rounds: int = 4, s_col: str = "s",
@@ -1941,19 +1927,8 @@ def ra_link_scores(edges_ds, s_col: str = "s", o_col: str = "o",
     partials combine in ONE pair-bucketed shuffle; existing edges leave
     via a size-aware anti semi-join. Returns a Dataset (p, q, cn,
     ra_micro)."""
-    from .stages.versions import stable_bucket
-
     edges = _orient_dedup_edges(edges_ds, s_col, o_col,
                                 num_buckets).materialize()
-
-    def adjacency(df: pd.DataFrame) -> pd.DataFrame:
-        z = pd.concat([df["u"], df["v"]], ignore_index=True)
-        nb = pd.concat([df["v"], df["u"]], ignore_index=True)
-        out = pd.DataFrame({"z": z.to_numpy(np.int64),
-                            "nb": nb.to_numpy(np.int64)})
-        k = out["z"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
 
     def wedge_scores(df: pd.DataFrame) -> pd.DataFrame:
         out_p, out_q, out_ra = [], [], []
@@ -1978,23 +1953,10 @@ def ra_link_scores(edges_ds, s_col: str = "s", o_col: str = "o",
                                            dtype=np.int64),
                              "ra_micro": np.concatenate(out_ra)})
 
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["p"].astype(str) + ":" + df["q"].astype(str)
-        df["bucket"] = stable_bucket(k, k, num_buckets)
-        return df
-
-    def pair_sum(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop(columns="bucket").groupby(
-            ["p", "q"], as_index=False)[["cn", "ra_micro"]].sum()
-
-    scores = (edges.map_batches(adjacency, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(lambda df: wedge_scores(
-                  df.drop(columns="bucket")), batch_format="pandas")
-              .map_batches(pair_bucket, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(pair_sum, batch_format="pandas"))
+    partial = bucket_exchange(
+        edges.map_batches(_adjacency, batch_format="pandas"), ["z"],
+        wedge_scores, num_buckets, "pandas")
+    scores = sum_by_key(partial, ["p", "q"], ["cn", "ra_micro"], num_buckets)
 
     def with_pk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -2103,8 +2065,6 @@ def interval_join(left_ds, right_ds, start: str = "s", end: str = "e",
     bound (r.s <= l.e), vectorized expansion, overlap/canonical filter.
     ONE shuffle total. Returns a Dataset (id_col, n_overlaps,
     sum_overlap_us) for left intervals with >= 1 overlap."""
-    from .stages.versions import stable_bucket
-
     def tag(side: int):
         def f(df: pd.DataFrame) -> pd.DataFrame:
             s = df[start].astype("int64").to_numpy()
@@ -2117,11 +2077,8 @@ def interval_join(left_ds, right_ds, start: str = "s", end: str = "e",
             rs = np.repeat(s, reps)
             re_ = np.repeat(e, reps)
             tb = np.repeat(b0, reps) + _ragged_arange(reps)
-            out = pd.DataFrame({id_col: rid, "__s": rs, "__e": re_,
-                                "__tb": tb, "__side": np.int8(side)})
-            k = out["__tb"].astype(str)
-            out["bucket"] = stable_bucket(k, k, num_buckets)
-            return out
+            return pd.DataFrame({id_col: rid, "__s": rs, "__e": re_,
+                                 "__tb": tb, "__side": np.int8(side)})
         return f
 
     def overlap(df: pd.DataFrame) -> pd.DataFrame:
@@ -2166,8 +2123,8 @@ def interval_join(left_ds, right_ds, start: str = "s", end: str = "e",
 
     tl = left_ds.map_batches(tag(0), batch_format="pandas")
     tr = right_ds.map_batches(tag(1), batch_format="pandas")
-    partial = tl.union(tr).groupby("bucket").map_groups(
-        overlap, batch_format="pandas")
+    partial = bucket_exchange(tl.union(tr), ["__tb"], overlap, num_buckets,
+                              "pandas")
     # a left interval spanning several buckets can collect overlaps in
     # each — tiny per-left partials fold in one more small combine
     def fold(df: pd.DataFrame) -> pd.DataFrame:
@@ -2176,16 +2133,7 @@ def interval_join(left_ds, right_ds, start: str = "s", end: str = "e",
         return g.astype({id_col: "int64", "n_overlaps": "int64",
                          "sum_overlap_us": "int64"})
 
-    def rebucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df[id_col].astype(str)
-        df["bucket"] = stable_bucket(k, k, num_buckets)
-        return df
-
-    return (partial.map_batches(rebucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: fold(df.drop(columns="bucket")),
-                        batch_format="pandas"))
+    return bucket_exchange(partial, [id_col], fold, num_buckets, "pandas")
 
 
 def _ragged_arange(counts: np.ndarray) -> np.ndarray:
@@ -2216,19 +2164,8 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
     corpus. Returns a Dataset (start, step, node), step 0..length."""
     import hashlib
 
-    from .stages.versions import stable_bucket
-
     edges = _orient_dedup_edges(edges_ds, s_col, o_col,
                                 num_buckets).materialize()
-
-    def adjacency(df: pd.DataFrame) -> pd.DataFrame:
-        z = pd.concat([df["u"], df["v"]], ignore_index=True)
-        nb = pd.concat([df["v"], df["u"]], ignore_index=True)
-        out = pd.DataFrame({"z": z.to_numpy(np.int64),
-                            "nb": nb.to_numpy(np.int64)})
-        k = out["z"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
 
     def rank_group(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["z", "nb"], kind="mergesort")
@@ -2237,10 +2174,9 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
             .astype("int64")
         return df
 
-    adj = (edges.map_batches(adjacency, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: rank_group(df.drop(columns="bucket")),
-                       batch_format="pandas")).materialize()
+    adj = bucket_exchange(edges.map_batches(_adjacency, batch_format="pandas"),
+                          ["z"], rank_group, num_buckets,
+                          "pandas").materialize()
 
     def start_state(df: pd.DataFrame) -> pd.DataFrame:
         z = df["z"].drop_duplicates()
@@ -2256,7 +2192,8 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
         batch_format="pandas")]
     for t in range(1, length + 1):
         # union sides share ONE schema (null-free -1 fills): Ray's
-        # union aligns blocks by schema, not by name subsets
+        # union aligns blocks by schema, not by name subsets; the
+        # exchange key ``__node`` is the state's cur and the adjacency's z
         _COLS = ["start", "cur", "z", "nb", "rank", "deg"]
 
         def tag_state(df: pd.DataFrame) -> pd.DataFrame:
@@ -2264,8 +2201,7 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
                                 if c in ("start", "cur")
                                 else np.full(len(df), -1, np.int64)
                                 for c in _COLS})
-            k = out["cur"].astype(str)
-            out["bucket"] = stable_bucket(k, k, num_buckets)
+            out["__node"] = out["cur"]
             out["__side"] = np.int8(0)
             return out
 
@@ -2274,8 +2210,7 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
                                 if c in ("z", "nb", "rank", "deg")
                                 else np.full(len(df), -1, np.int64)
                                 for c in _COLS})
-            k = out["z"].astype(str)
-            out["bucket"] = stable_bucket(k, k, num_buckets)
+            out["__node"] = out["z"]
             out["__side"] = np.int8(1)
             return out
 
@@ -2297,12 +2232,10 @@ def random_walks(edges_ds, length: int = 4, s_col: str = "s",
                 "start": m["start"].to_numpy(np.int64),
                 "cur": m["nb"].to_numpy(np.int64)})
 
-        state = (state.map_batches(tag_state, batch_format="pandas")
-                 .union(adj.map_batches(tag_adj, batch_format="pandas"))
-                 .groupby("bucket")
-                 .map_groups(lambda df, t=t: step(
-                     df.drop(columns="bucket"), t),
-                     batch_format="pandas")).materialize()
+        state = bucket_exchange(
+            state.map_batches(tag_state, batch_format="pandas")
+            .union(adj.map_batches(tag_adj, batch_format="pandas")),
+            ["__node"], step, num_buckets, "pandas").materialize()
         outs.append(state.map_batches(
             lambda df, t=t: pd.DataFrame({"start": df["start"],
                                           "step": np.int64(t),
@@ -2329,20 +2262,15 @@ def grid_distance_join(left_ds, right_ds, x: str = "x", y: str = "y",
     via sorted-x searchsorted pruning, then the exact integer distance
     filter. Returns (id_col, n_within, nearest_id, nearest_d2) per
     left point with ≥ 1 match (ties on d2 → smallest neighbor id)."""
-    from .stages.versions import stable_bucket
-
     R2 = radius * radius
 
     def tag_left(df: pd.DataFrame) -> pd.DataFrame:
         xs = df[x].astype("int64").to_numpy()
         ys = df[y].astype("int64").to_numpy()
-        out = pd.DataFrame({id_col: df[id_col].astype("int64").to_numpy(),
-                            "__x": xs, "__y": ys,
-                            "__cx": xs // radius, "__cy": ys // radius,
-                            "__side": np.int8(0)})
-        k = out["__cx"].astype(str) + ":" + out["__cy"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
-        return out
+        return pd.DataFrame({id_col: df[id_col].astype("int64").to_numpy(),
+                             "__x": xs, "__y": ys,
+                             "__cx": xs // radius, "__cy": ys // radius,
+                             "__side": np.int8(0)})
 
     def tag_right(df: pd.DataFrame) -> pd.DataFrame:
         xs = df[x].astype("int64").to_numpy()
@@ -2358,8 +2286,6 @@ def grid_distance_join(left_ds, right_ds, x: str = "x", y: str = "y",
                     "__cy": ys // radius + dy}))
         out = pd.concat(reps, ignore_index=True)
         out["__side"] = np.int8(1)
-        k = out["__cx"].astype(str) + ":" + out["__cy"].astype(str)
-        out["bucket"] = stable_bucket(k, k, num_buckets)
         return out
 
     def probe(df: pd.DataFrame) -> pd.DataFrame:
@@ -2409,8 +2335,8 @@ def grid_distance_join(left_ds, right_ds, x: str = "x", y: str = "y",
 
     tl = left_ds.map_batches(tag_left, batch_format="pandas")
     tr = right_ds.map_batches(tag_right, batch_format="pandas")
-    return tl.union(tr).groupby("bucket").map_groups(
-        probe, batch_format="pandas")
+    return bucket_exchange(tl.union(tr), ["__cx", "__cy"], probe,
+                           num_buckets, "pandas")
 
 
 def label_propagation(edges_ds, rounds: int = 3,
@@ -2433,8 +2359,6 @@ def label_propagation(edges_ds, rounds: int = 3,
     import pyarrow as pa
     import ray
 
-    from .stages.versions import stable_bucket
-
     P = num_partitions or _default_partitions()
 
     def pack_undirected(df: pd.DataFrame) -> pd.DataFrame:
@@ -2454,7 +2378,7 @@ def label_propagation(edges_ds, rounds: int = 3,
 
     packed = edges_ds.map_batches(pack_undirected, batch_format="pandas")
     und = materialize_normalized(
-        distinct_keys(packed, "k", P).map_batches(
+        distinct_keys(packed, "k").map_batches(
             lambda df: pd.DataFrame({
                 "u": (df["k"].to_numpy(np.int64) >> 32),
                 "v": (df["k"].to_numpy(np.int64)
@@ -2462,7 +2386,7 @@ def label_propagation(edges_ds, rounds: int = 3,
             batch_format="pandas"),
         pa.schema([("u", pa.int64()), ("v", pa.int64())]))
     nodes = materialize_normalized(
-        distinct_keys(und, "u", P).map_batches(
+        distinct_keys(und, "u").map_batches(
             lambda df: df.rename(columns={"u": "node"}),
             batch_format="pandas"),
         pa.schema([("node", pa.int64())]))
@@ -2499,11 +2423,8 @@ def label_propagation(edges_ds, rounds: int = 3,
                     "u": df["u"].astype("int64"),
                     "label": lav[idx],
                     "c": np.int64(1)})
-                out = out.groupby(["u", "label"], sort=False,
-                                  as_index=False)["c"].sum()
-                out["bucket"] = stable_bucket(
-                    out["u"].astype(str), out["u"].astype(str), 64)
-                return out
+                return out.groupby(["u", "label"], sort=False,
+                                   as_index=False)["c"].sum()
 
             tagged = und.map_batches(tag, batch_format="pandas")
         else:
@@ -2513,18 +2434,14 @@ def label_propagation(edges_ds, rounds: int = 3,
             joined = und.join(lv, "inner", P, on=("v",))
 
             def pre(df: pd.DataFrame) -> pd.DataFrame:
-                out = (df.assign(c=np.int64(1))
-                       .groupby(["u", "label"], sort=False,
-                                as_index=False)["c"].sum())
-                out["bucket"] = stable_bucket(
-                    out["u"].astype(str), out["u"].astype(str), 64)
-                return out
+                return (df.assign(c=np.int64(1))
+                        .groupby(["u", "label"], sort=False,
+                                 as_index=False)["c"].sum())
 
             tagged = joined.map_batches(pre, batch_format="pandas")
         labels = materialize_normalized(
-            tagged.groupby("bucket").map_groups(
-                lambda df: argmax_mode(df.drop(columns="bucket")),
-                batch_format="pandas"), lbl_schema)
+            bucket_exchange(tagged, ["u"], argmax_mode, 64, "pandas"),
+            lbl_schema)
     return labels
 
 

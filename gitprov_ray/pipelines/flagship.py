@@ -1,13 +1,13 @@
 """The flagship KG-construction pipeline (SURVEY.md §3.1 engine equivalent).
 
     read pages → map_batches(parse html → revision events)
-               → bucket_exchange(bucket(graph,page_key), lag_events)
+               → bucket_exchange([graph, page_key], lag_events)
                                  [exchange 1: event dedup + version lag,
                                   every event column carried]
                → map_batches(emit_stateless_arrow + emit_status_arrow
                              + flatten_batch_compact)   [compact triples]
                → union(agents' compact rows)
-               → bucket_exchange(compact bucket, _dedup_expand_sort_group)
+               → bucket_exchange(compact key, _dedup_expand_sort_group)
                                  [exchange 2: dedup + expand + sort
                                   → final graph]
 

@@ -143,7 +143,7 @@ def q_lag_events(sf_dir: str):
     table): previous event id per user, ordered by (ts, event_id).
     Hash-bucketed groupby + vectorized pandas shift (same pattern as the
     version-chain shuffle)."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
@@ -188,7 +188,7 @@ def q_hourly_user_activity(sf_dir: str):
     # bucket per reducer, one vectorized pandas groupby per bucket (Ray's
     # multi-key aggregate was measured 20x slower here — per-group overhead
     # on ~100k (user, hour) groups)
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     def bucketize(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -387,7 +387,7 @@ def q_percent_rank_events(sf_dir: str):
     vectorized in-group ranks; both statistics emitted as exact integer
     millis via big-int round-half-up, so the twin hash-matches without
     float division noise."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
 
@@ -441,7 +441,7 @@ def q_novelty_docs(sf_dir: str):
     novel-gram counts back per doc; millis = round-half-up of
     1000*novel/n in exact integers."""
     from .linking import _shingle_hashes_batch
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -518,7 +518,7 @@ def q_skipgram_pairs(sf_dir: str, window: int = 2, topn: int = 50):
     row expansion per batch (one shifted-array concat per offset, no
     Python loop over tokens), per-batch partial counts, ONE bucketed
     shuffle on the pair key; top-N by (count desc, pair asc)."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["text"])
 
@@ -775,7 +775,7 @@ def q_sessionize(sf_dir: str):
     """Gap-based sessionization (streaming-shaped op): per-user sessions
     split on >30min inactivity; bucketed per-key ordered pass (same shuffle
     pattern as the version-lag stage), vectorized cumsum inside buckets."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
@@ -957,7 +957,7 @@ def q_moving_sum_events(sf_dir: str):
     """Sliding-window aggregate (O/ST-family): per-user 3-row moving sum
     of value cents, ordered by (ts, event_id) — same bucketed per-key
     shuffle as the version-lag stage, vectorized pandas rolling inside."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -1041,8 +1041,8 @@ def q_distinct_users_per_type(sf_dir: str):
     (each distinct pair lands in exactly one bucket), then a tiny
     per-type Sum. The shuffle carries one row per distinct pair per
     batch, never raw events; the pair-cardinality groupby never goes
-    through Ray's multi-key aggregate (CLAUDE.md invariant 6)."""
-    from .stages.versions import stable_bucket
+    through Ray's multi-key aggregate (CLAUDE.md invariant 4)."""
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     pairs = ds.map_batches(
@@ -1694,7 +1694,7 @@ def q_scd2_events(sf_dir: str):
     user_id, then a fully vectorized shift-compare inside each bucket
     (no per-user Python loop); the twin is the LAG-change-filter +
     LEAD-interval window pattern."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type"])
@@ -2056,7 +2056,7 @@ def q_cumsum_events(sf_dir: str):
     shuffle as the lag/moving-sum stages, vectorized groupby cumsum
     inside. SQL twin: SUM() OVER (PARTITION BY … ROWS UNBOUNDED
     PRECEDING)."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -2089,7 +2089,7 @@ def q_tfidf_top_terms(sf_dir: str):
     colocates); scores are integer millis so the SQL twin hash-matches;
     a second (tiny, pre-combined) shuffle ranks per source."""
     from . import ops
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["source", "text"])
     ns = float(ops.distinct_keys(ds, "source").count())
@@ -2158,7 +2158,7 @@ def q_rank_events(sf_dir: str):
     ranks computed vectorized in-group. NTILE's row order is pinned to
     (value DESC, event_id) in both engines; RANK/DENSE_RANK tie on equal
     float values exactly like SQL (same parquet doubles, same compares)."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
@@ -2313,7 +2313,7 @@ def q_triangle_count(sf_dir: str):
     emits per-source wedges, and closes them with a bucketed semi-join
     against the edge set."""
     from . import ops
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -2353,7 +2353,7 @@ def q_collect_events(sf_dir: str):
     generic query): each user's event ids joined in (ts, event_id) order.
     One bucketed per-key shuffle, vectorized in-group string_agg; the
     comma-joined string keeps the driver value-hash list-free."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
 
@@ -2391,7 +2391,7 @@ def q_bm25_docs(sf_dir: str):
     with the tiny stats broadcast in the closure; integer-millis scores.
     The float expression tree is written identically in the SQL twin so
     IEEE doubles agree bit-for-bit."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -2461,7 +2461,7 @@ def q_cust_order_dist(sf_dir: str):
     Invariant 7: the aggregate side is schema-normalized before the
     join."""
     from . import ops
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
@@ -2937,7 +2937,7 @@ def q_median_per_type(sf_dir: str):
     engines. event_type is low-cardinality, so ONE bucketed per-key
     shuffle colocates each group; the in-group selection is a vectorized
     sort + index, never a driver-side pass."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_type", "value"])
 
@@ -2968,7 +2968,7 @@ def q_lead_events(sf_dir: str):
     bucketed per-key shuffle; in-group shift/head/tail vectorized. The
     SQL twin pins LAST_VALUE's frame to the whole partition (ROWS
     UNBOUNDED PRECEDING..UNBOUNDED FOLLOWING), matching the engine."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
 
@@ -3099,7 +3099,7 @@ def q_funnel_events(sf_dir: str):
     users per stage. ONE bucketed per-user shuffle; the stage logic is
     vectorized group mins. Stages with zero users still emit a row, so
     the output shape is stable at every sf."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
@@ -3208,8 +3208,8 @@ def q_mode_per_group(sf_dir: str):
     smallest) — the categorical summary aggregate. Per-batch partial
     (user, type) counts shrink the exchange to one row per distinct pair
     per batch; ONE bucketed shuffle on user_id resolves the argmax
-    in-group (invariant 6: no multi-key groupby.aggregate)."""
-    from .stages.versions import stable_bucket
+    in-group (invariant 4: no multi-key groupby.aggregate)."""
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -3281,7 +3281,7 @@ def q_retention_cohorts(sf_dir: str):
     user_id carries BOTH the per-batch min-ts partials and the per-batch
     distinct (user, month) pairs (tagged union), so the cohort lookup is
     an in-bucket join — no broadcast of a potentially huge user map."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
@@ -3383,7 +3383,7 @@ def q_pack_sequences(sf_dir: str, budget: int = 256):
     (searchsorted on the token cumsum), so the group pass is
     O(bins log n). The SQL twin replays the identical walk as a
     recursive CTE."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
 
@@ -3474,7 +3474,7 @@ def q_event_transitions(sf_dir: str):
     per-key shuffle as the lag family; the pair counting is a
     vectorized in-group shift, then a tiny (|types|^2) partial-combined
     aggregate."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
@@ -3636,7 +3636,7 @@ def q_range_window_events(sf_dir: str, minutes: int = 10):
     per-key shuffle; in-group the window bounds come from two
     vectorized searchsorted calls over the sorted timestamps — no
     per-row loop."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -3785,7 +3785,7 @@ def q_profile_events(sf_dir: str):
 def q_bpe_train_merges(sf_dir: str):
     """Distributed BPE tokenizer training (textops.bpe_train, Sennrich
     et al. 2016): whitespace word counts (bucketed high-cardinality
-    combine, invariant 6) -> 4 merge rounds, each ONE streaming
+    combine, invariant 4) -> 4 merge rounds, each ONE streaming
     pair-count pass + a vocabulary-bounded aggregate + a broadcast
     2-pass replace merge. Returns the learned merge table."""
     ds = _read(sf_dir, "documents", ["text"])
@@ -3942,7 +3942,7 @@ def q_dup_span_docs(sf_dir: str):
 def _word_counts_ds(ds):
     """documents text -> distributed (word, cnt) vocabulary (the bucketed
     high-cardinality combine shared by the BPE train/apply queries)."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     def wc_partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.split().explode().dropna()
@@ -3978,7 +3978,7 @@ def q_bpe_tokenize_docs(sf_dir: str):
     import pyarrow as pa
 
     from . import ops
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     _, vocab = textops.bpe_train(_word_counts_ds(ds), n_merges=4,
@@ -4272,7 +4272,7 @@ def q_validate_events(sf_dir: str):
     shuffle where each bucket sums the group sizes >1 — one int per
     bucket returns. At 100 TB nothing but rule partials crosses the
     wire."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value",
@@ -4369,7 +4369,7 @@ def q_table_diff_events(sf_dir: str):
     changed / unchanged vectorized and returns per-status partials
     (count + id checksum), so the diff report is O(statuses), never the
     table."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "value"])
 
@@ -4573,7 +4573,7 @@ def q_copurchase_pairs(sf_dir: str, min_item_support: int = 2,
     second bucketed exchange. The item prefilter cannot change the
     result (pair support <= item support), so the SQL twin states the
     pair rule directly."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
@@ -4693,7 +4693,7 @@ def q_bleu_pairs(sf_dir: str):
     Scale shape: one bucketed shuffle on pair_id co-locates each pair;
     n-gram counting is per-pair local (the inherent O(tokens) work) and
     emits 11 ints per pair — no second exchange."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -4754,7 +4754,7 @@ def q_interval_coverage_events(sf_dir: str):
     Scale shape: one bucketed shuffle on user_id, then a fully
     vectorized in-bucket island pass (sort + per-user shifted running
     max — no Python loop); 2 ints per user leave the bucket."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["ts", "user_id", "value"])
 
@@ -4805,7 +4805,7 @@ def q_ewma_events(sf_dir: str):
     sequential recurrence is STEP-vectorized — one numpy update over
     ALL users per timeline position (O(max_seq_len) kernel launches,
     no per-row Python), the same trick a GPU scan would use."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
@@ -4865,7 +4865,7 @@ def q_rouge_l_pairs(sf_dir: str, cap: int = ROUGE_CAP):
     dp[i][j] = max(dp[i-1][j], max_{j'≤j, a_i=b_j'} dp[i-1][j'-1]+1),
     which makes each DP row ONE window function over the previous
     row's CTE — cap chained CTEs, all integer."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -5168,7 +5168,7 @@ def q_gini_user_diversity(sf_dir: str):
     EXACT in integer micro-units: gini_micro = 10⁶ - Σn_i²·10⁶ // N².
     Per-batch partial (user, type) counts, one bucketed combine, the
     impurity fold in-group — entropy would need floats; Gini doesn't."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
@@ -5519,7 +5519,7 @@ def q_debounce_events(sf_dir: str):
     FIRSTs survive, with the burst length attached. One bucketed
     shuffle, vectorized diff inside the group; twin = LAG gap → running
     burst ids (SUM OVER of gap flags) → ROW_NUMBER."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
                                   "ts"])
@@ -5605,7 +5605,7 @@ def q_cusum_events(sf_dir: str):
     in the twin) instead of a sequential loop. Alarm where H_t > 2*T.
     Hourly counts come from per-batch partial pre-agg + ONE bucketed
     shuffle; the per-type series scan is vectorized in-group."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -5659,7 +5659,7 @@ def q_fd_mine_events(sf_dir: str):
     tiny (6 x 64 rows) driver combine. Epoch floor-division hour/day
     ids make hour_id->day_id and day_id->month_id hold by construction
     — the miner must PROVE it, not assume it."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     FDS = [("hour_id", "day_id"), ("day_id", "month_id"),
            ("day_id", "hour_id"), ("event_type", "day_id"),
@@ -5889,7 +5889,7 @@ def q_theil_sen_events(sf_dir: str):
     bucketed pre-agg shuffle; the O(n²) pair walk runs vectorized on
     the per-type AGGREGATED series (bounded by wall-clock hours, ≤720
     here), never on raw rows."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
@@ -5941,7 +5941,7 @@ def q_rank_fusion_docs(sf_dir: str):
     bit-reproducible."""
     import hashlib as _h
 
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text",
                                      "n_chars"])
@@ -6513,7 +6513,7 @@ def q_bigram_coverage_docs(sf_dir: str):
     import hashlib
 
     from .ops import semi_join
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -6820,7 +6820,7 @@ def q_record_linkage_customers(sf_dir: str):
     check digits), pairs scoring ≥ 45 reported, top 20 by (weight desc,
     a, b). One bucketed exchange on the blocking key; within-block
     scoring is vectorized; pair rows never leave their block."""
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds = _read(sf_dir, "customer",
                ["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"])
@@ -6870,7 +6870,7 @@ def q_group_sample_docs(sf_dir: str):
     head runs inside the group — no global sort, no driver state."""
     import hashlib
 
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     K = 3
     ds = _read(sf_dir, "documents", ["doc_id", "source"])

@@ -649,7 +649,7 @@ def write_partitioned(ds, path: str, key: str, num_buckets: int = 64,
     """
     import pandas as pd
 
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     def tag(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.copy()
@@ -680,6 +680,8 @@ def write_partitioned(ds, path: str, key: str, num_buckets: int = 64,
         return pd.DataFrame({"partition": [b], "rows": [t.num_rows],
                              "skipped": [False]})
 
+    # stays on map_groups: one directory per group, so the writer needs
+    # each group alone, never a partition of several
     stats = (ds.map_batches(tag, batch_format="pandas")
              .groupby("__part")
              .map_groups(write_group, batch_format="pandas")
@@ -726,7 +728,7 @@ def write_webdataset(ds, path: str, key_col: str = "__key__",
     Returns a pandas DataFrame (shard, samples, skipped)."""
     import pandas as pd
 
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     def tag(df: "pd.DataFrame") -> "pd.DataFrame":
         df = df.copy()
@@ -781,6 +783,7 @@ def write_webdataset(ds, path: str, key_col: str = "__key__",
         return pd.DataFrame({"shard": [b], "samples": [n],
                              "skipped": [False]})
 
+    # stays on map_groups: one tar per group (see write_partitioned)
     stats = (ds.map_batches(tag, batch_format="pandas")
              .groupby("__shard")
              .map_groups(write_shard, batch_format="pandas")

@@ -2032,21 +2032,9 @@ def select_text_distributed(triples_ds, query: str,
         ds = ds.map_batches(lambda df, k=cols: df[list(k)],
                             batch_format="pandas")
     if plan["distinct"]:
-        from .stages.versions import stable_bucket
+        from .ops import distinct_rows
 
-        def dedup_local(df: pd.DataFrame) -> pd.DataFrame:
-            df = df.drop_duplicates()
-            if len(df) == 0:
-                return df.assign(bucket=pd.Series([], dtype="int64"))
-            key = df[df.columns[0]].astype(str)
-            for c in df.columns[1:]:
-                key = key + "\x1f" + df[c].astype(str)
-            return df.assign(bucket=stable_bucket(key, key, 32))
-
-        ds = (ds.map_batches(dedup_local, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(lambda df: df.drop(columns="bucket")
-                          .drop_duplicates(), batch_format="pandas"))
+        ds = distinct_rows(ds, None, 32)
     ord_aux: list[str] = []
     if plan["order_by"]:
         expr_terms = [(i, v) for i, (v, _) in enumerate(plan["order_by"])
@@ -2315,21 +2303,9 @@ def describe_text_distributed(triples_ds, query: str,
         out = triples_ds.map_batches(
             lambda t, ts=tset: scan(t, targets=ts), batch_format="pyarrow")
 
-    from .stages.versions import stable_bucket
+    from .ops import distinct_rows
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates()
-        if len(df) == 0:
-            return df.assign(bucket=pd.Series([], dtype="int64"))
-        key = df["graph"].astype(str)
-        for c in ("subj", "pred", "obj"):
-            key = key + "\x1f" + df[c].astype(str)
-        return df.assign(bucket=stable_bucket(key, key, 32))
-
-    return (out.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df.drop(columns="bucket")
-                        .drop_duplicates(), batch_format="pandas"))
+    return distinct_rows(out, ["graph", "subj", "pred", "obj"], 32)
 
 
 def query_text(triples_ds, query: str, graph: str | None = None):
@@ -2363,10 +2339,10 @@ def aggregate_distributed(triples_ds, patterns: list[tuple],
     """Distributed SPARQL GROUP BY aggregate (the §11 scale path): the BGP
     runs through select_distributed (bindings never materialize on the
     driver), then a two-phase aggregate — per-batch partial combine inside
-    ``map_batches`` followed by ONE bucketed shuffle on the group key (the
-    engine's stable_bucket map_groups pattern; Ray's multi-key
+    ``map_batches`` followed by ONE bucketed shuffle on the group key
+    (``ops.bucket_exchange``; Ray's multi-key
     groupby().aggregate() is ~20× slower at high cardinality, see
-    CLAUDE.md invariant 6). ``agg``: "count" (COUNT(*)), or
+    CLAUDE.md invariant 4). ``agg``: "count" (COUNT(*)), or
     "sum"/"avg"/"min"/"max" over ?arg_var (numeric coercion; AVG ships
     mergeable (sum, count) partials). Returns a Dataset of
     group_vars + alias."""
@@ -2381,7 +2357,7 @@ def aggregate_distributed(triples_ds, patterns: list[tuple],
 def _aggregate_binding_ds(ds, group_vars: list[str], agg: str,
                           arg_var: str | None, alias: str):
     """Two-phase distributed aggregate over a binding Dataset: per-batch
-    partial combine, then ONE stable_bucket shuffle on the group key."""
+    partial combine, then ONE bucket exchange on the group key."""
     gv = [v.lstrip("?") for v in group_vars]
     a = arg_var.lstrip("?") if arg_var else None
     partial_cols = ["__s", "__c"] if agg == "avg" else [alias]
@@ -2404,17 +2380,7 @@ def _aggregate_binding_ds(ds, group_vars: list[str], agg: str,
         out = g["__v"].agg(["sum", "count"])
         return out.rename(columns={"sum": "__s", "count": "__c"})
 
-    from .stages.versions import stable_bucket
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df.assign(bucket=pd.Series([], dtype="int64"))
-        df = df.copy()
-        key = df[gv[0]].astype(str)
-        for g2 in gv[1:]:
-            key = key + "\x1f" + df[g2].astype(str)
-        df["bucket"] = stable_bucket(key, key, 32)
-        return df
+    from .ops import bucket_exchange
 
     def merge_group(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby(gv, sort=False, as_index=False)
@@ -2431,10 +2397,8 @@ def _aggregate_binding_ds(ds, group_vars: list[str], agg: str,
         out[alias] = out["__s"] / out["__c"]
         return out.drop(columns=["__s", "__c"])
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(merge_group, batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                           gv, merge_group, 32, "pandas")
 
 
 def _one_agg_det(sub: pd.DataFrame, spec: dict):
@@ -2465,8 +2429,8 @@ def _aggregate_binding_ds_full(ds, plan: dict):
     """General distributed GROUP BY + aggregates + HAVING over a binding
     Dataset — the scale twin of :func:`_apply_aggregates` (§11).
 
-    Two execution shapes, both ONE stable_bucket shuffle on the group
-    key (CLAUDE.md invariant 6 — never Ray's multi-key aggregate at
+    Two execution shapes, both ONE bucket exchange on the group
+    key (CLAUDE.md invariant 4 — never Ray's multi-key aggregate at
     high cardinality):
 
       * every aggregate mergeable (COUNT/SUM/AVG non-DISTINCT, MIN/MAX
@@ -2484,7 +2448,7 @@ def _aggregate_binding_ds_full(ds, plan: dict):
     and AVG are always float64 (the driver casts an all-integral SUM
     column to int64, a whole-column decision a per-bucket merge cannot
     make); COUNT is int64 on both."""
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange
 
     gv = list(plan["group_by"])
     specs = [dict(s) for s in plan["aggregates"]]
@@ -2507,19 +2471,6 @@ def _aggregate_binding_ds_full(ds, plan: dict):
 
     all_mergeable = all(mergeable(s) for s in specs)
     arg_cols = sorted({s["arg"][1:] for s in specs if s["arg"] != "*"})
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df.assign(bucket=pd.Series([], dtype="int64"))
-        df = df.copy()
-        if not gv:                       # global aggregate: one group
-            df["bucket"] = np.zeros(len(df), dtype="int64")
-            return df
-        key = df[gv[0]].astype(str)
-        for g2 in gv[1:]:
-            key = key + "\x1f" + df[g2].astype(str)
-        df["bucket"] = stable_bucket(key, key, 32)
-        return df
 
     aggmap: dict[str, str] = {}
     if all_mergeable:
@@ -2592,7 +2543,6 @@ def _aggregate_binding_ds_full(ds, plan: dict):
         return out
 
     def merge_values(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="bucket")
         groups = (df.groupby(gv, sort=False, dropna=False) if gv
                   else [((), df)])
         rows = []
@@ -2625,25 +2575,20 @@ def _aggregate_binding_ds_full(ds, plan: dict):
         proj = plan.get("projection")
         return out[proj] if proj else out
 
+    # no group key (a global aggregate): every row in one bucket
     if all_mergeable:
-        def merge_partials(df: pd.DataFrame) -> pd.DataFrame:
-            return _post(_finalize(_reduce(df.drop(columns="bucket"))))
-
-        return (ds.map_batches(partial, batch_format="pandas")
-                .map_batches(bucketize, batch_format="pandas")
-                .groupby("bucket")
-                .map_groups(merge_partials, batch_format="pandas"))
+        return bucket_exchange(
+            ds.map_batches(partial, batch_format="pandas"), gv,
+            lambda df: _post(_finalize(_reduce(df))), 32, "pandas")
 
     keep = gv + [c for c in arg_cols if c not in gv]
 
     def project(df: pd.DataFrame) -> pd.DataFrame:
         return df[keep] if keep else df
 
-    return (ds.map_batches(project, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: _post(merge_values(df)),
-                        batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(project, batch_format="pandas"),
+                           gv, lambda df: _post(merge_values(df)), 32,
+                           "pandas")
 
 
 def construct_distributed(triples_ds, template: list[tuple],
@@ -2652,7 +2597,7 @@ def construct_distributed(triples_ds, template: list[tuple],
     """Distributed CONSTRUCT (§16.2 scale path): bindings come from
     select_distributed (never on the driver), each batch instantiates
     the template vectorized, and the graph's set semantics come from one
-    stable_bucket dedup shuffle. Returns a Dataset of (subj, pred, obj).
+    bucket-exchange dedup. Returns a Dataset of (subj, pred, obj).
 
     ``template`` entries are (s, p, o) with ``?var`` or bound terms —
     the same shape select_distributed takes."""
@@ -2707,25 +2652,12 @@ def _construct_from_bindings_ds(ds, template: list[tuple],
             frames.append(pd.DataFrame(cols).dropna())
         if not frames:
             return pd.DataFrame(columns=["subj", "pred", "obj"])
-        out = pd.concat(frames, ignore_index=True)
-        return out.drop_duplicates()          # per-batch combiner
+        return pd.concat(frames, ignore_index=True)
 
-    from .stages.versions import stable_bucket
+    from .ops import distinct_rows
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0:
-            return df.assign(bucket=pd.Series([], dtype="int64"))
-        df = df.copy()
-        key = df["subj"].astype(str) + "\x1f" + df["pred"].astype(str) \
-            + "\x1f" + df["obj"].astype(str)
-        df["bucket"] = stable_bucket(key, key, 32)
-        return df
-
-    return (ds.map_batches(instantiate, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df.drop(columns="bucket")
-                        .drop_duplicates(), batch_format="pandas"))
+    return distinct_rows(ds.map_batches(instantiate, batch_format="pandas"),
+                         ["subj", "pred", "obj"], 32)
 
 
 # ---------------------------------------------------------------------------

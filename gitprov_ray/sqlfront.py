@@ -1055,7 +1055,7 @@ def _subst_expr(e, mapping: dict):
 
 
 def _run_select(q: dict, tables: dict):
-    from .stages.versions import stable_bucket
+    from .ops import stable_bucket
 
     ds, q = _build_dataset(q, tables)
 

@@ -4,49 +4,34 @@ Dedup design (SURVEY.md §2.5 generalized row): distinct on
 (graph, subj, pred, obj) is an all-to-all exchange. The flagship runs one
 path: ``flatten_batch_compact`` (statements → compact rows, with a per-batch
 local pre-dedup — the partial/combiner pattern, so the shuffle moves fewer
-rows) → ``add_compact_bucket`` (hash of the compact key) →
+rows) → ``ops.bucket_exchange`` on the compact key →
 ``_dedup_expand_sort_group`` (each bucket deduplicated, expanded to full
 URIs AND sorted in one vectorized Arrow pass) — a single shuffle yields the
 north rule's sorted deduplicated partitions. ``dedup_triples`` is the
 full-width variant, used only to re-dedup after canonicalization.
 
 Hot-path discipline (measured, sf0.1×30 ≈ 9M triples):
-  * bucket ids via vectorized pandas siphash (a per-row Python sha1 loop
-    cost ~25s of CPU here);
+  * bucket ids via the vectorized siphash in ``ops.bucket_ids`` (a
+    per-row Python sha1 loop cost ~25s of CPU here);
   * dedup+sort via Arrow C++ kernels — the pandas object-dtype equivalent
     cost 840 CPU-seconds.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import prov, schemas
+from ..ops import bucket_exchange, bucket_ids
 
 _KEY_COLS = ["graph", "subj", "pred", "obj"]
-
-
-def add_triple_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Vectorized stable bucket id per triple key (pandas siphash with the
-    fixed default key — deterministic across worker processes)."""
-    key = None
-    for c in _KEY_COLS:
-        s = batch.column(c).to_pandas().astype(str)
-        key = s if key is None else key + "\x1f" + s
-    h = pd.util.hash_pandas_object(key, index=False).to_numpy() % num_buckets
-    return batch.append_column("bucket", pa.array(h.astype(np.int64),
-                                                  type=pa.int64()))
 
 
 def _dedup_sort_group(t: pa.Table) -> pa.Table:
     """Whole buckets → sorted + adjacent-deduped (all Arrow C++ kernels;
     the triple key determines the bucket, so any set of whole buckets
     dedups exactly)."""
-    if "bucket" in t.column_names:
-        t = t.drop_columns(["bucket"])
     n = t.num_rows
     if n <= 1:
         return t
@@ -66,11 +51,8 @@ def dedup_triples(triples_ds, num_buckets: int = 64):
     flagship dedups in the compact exchange instead
     (:func:`dedup_compact`); this re-dedups after
     canonicalization rewrites subj/obj (rewrites can collide rows)."""
-    from ..ops import bucket_exchange
-
-    keyed = triples_ds.map_batches(
-        lambda b: add_triple_bucket(b, num_buckets), batch_format="pyarrow")
-    return bucket_exchange(keyed, _dedup_sort_group, num_buckets)
+    return bucket_exchange(triples_ds, _KEY_COLS, _dedup_sort_group,
+                           num_buckets)
 
 
 _GP_PREFIX = "https://gitprov.example/graph/"
@@ -192,6 +174,9 @@ def _decode_compact(t: pa.Table) -> pa.Table:
 
 
 _COMPACT_KEY = ["graph", "s_local", "pred_code", "obj_kind", "o_val"]
+# the dedup exchange's hash key: part of the compact key, so every compact
+# key lands in one bucket
+_BUCKET_KEY = ["graph", "s_local", "o_val", "pred_code"]
 
 
 def _concat(*parts):
@@ -201,20 +186,10 @@ def _concat(*parts):
 
 
 def add_compact_bucket(batch: pa.Table, num_buckets: int) -> pa.Table:
-    """Stable bucket id per compact triple key. The join is an Arrow C++
-    kernel; only ONE materialized string column goes through the (stable,
-    fixed-key) pandas siphash — building per-column Python strings for the
-    key concat was a measured memory-churn hot spot at high concurrency."""
-    def _s(name):
-        c = batch.column(name)
-        return pc.cast(c, pa.string()) if pa.types.is_dictionary(c.type) else c
-    joined = pc.binary_join_element_wise(
-        _s("graph"), _s("s_local"), _s("o_val"),
-        batch.column("pred_code").cast(pa.string()), "\x1f")
-    arr = joined.combine_chunks() if isinstance(joined, pa.ChunkedArray) else joined
-    h = pd.util.hash_array(arr.to_numpy(zero_copy_only=False)) % num_buckets
-    return batch.append_column("bucket", pa.array(h.astype(np.int64),
-                                                  type=pa.int64()))
+    """``batch`` plus its int64 dedup ``bucket`` (:func:`ops.bucket_ids`
+    of :data:`_BUCKET_KEY`)."""
+    return batch.append_column("bucket", pa.array(
+        bucket_ids(batch, _BUCKET_KEY, num_buckets), pa.int64()))
 
 
 # pred lookup tables for the Arrow expansion: full URI per code ('' for the
@@ -492,11 +467,8 @@ def dedup_compact(compact_ds, num_buckets: int = 64):
     """compact rows → the dedup exchange (``ops.bucket_exchange``) →
     expanded partitions, each sorted by the triple key (no global order
     across partitions)."""
-    from ..ops import bucket_exchange
-
-    keyed = compact_ds.map_batches(
-        lambda b: add_compact_bucket(b, num_buckets), batch_format="pyarrow")
-    return bucket_exchange(keyed, _dedup_expand_sort_group, num_buckets)
+    return bucket_exchange(compact_ds, _BUCKET_KEY, _dedup_expand_sort_group,
+                           num_buckets)
 
 
 def statements_to_triples_compact(statements_ds, num_buckets: int = 64):

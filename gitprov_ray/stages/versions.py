@@ -51,6 +51,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .. import schemas
+from ..ops import bucket_exchange, bucket_ids
 
 # the columns the status-dependent emitter reads
 LAG_COLUMNS = ["graph", "page_key", "snapshot_id", "ts", "change_status",
@@ -58,25 +59,17 @@ LAG_COLUMNS = ["graph", "page_key", "snapshot_id", "ts", "change_status",
 # the in-bucket order: per key chronological, then in-page order
 _ORDER = ["graph", "page_key", "ts", "snapshot_id", "event_seq"]
 EVENT_KEY = ["graph", "page_key", "snapshot_id", "event_seq"]
+LAG_KEY = ["graph", "page_key"]
 _COMMIT_KEY = ["graph", "page_key", "snapshot_id"]
 LAGGED = schemas.REVISIONS.append(pa.field("parent", pa.string())) \
                           .append(pa.field("lag_first", pa.bool_()))
 
 
-def stable_bucket(graph: pd.Series, key: pd.Series, num_buckets: int) -> np.ndarray:
-    """Deterministic, process-stable bucket id per (graph, key) — vectorized
-    pandas siphash (fixed default hash key → identical across workers)."""
-    joined = graph.astype(str) + "\x1f" + key.astype(str)
-    h = pd.util.hash_pandas_object(joined, index=False).to_numpy()
-    return (h % num_buckets).astype(np.int64)
-
-
 def add_bucket_column(batch: pa.Table, num_buckets: int) -> pa.Table:
-    g = batch.column("graph").to_pandas()
-    k = batch.column("page_key").to_pandas()
-    return batch.append_column(
-        "bucket", pa.array(stable_bucket(g, k, num_buckets), type=pa.int64())
-    )
+    """``batch`` plus its int64 lag ``bucket`` (:func:`ops.bucket_ids` of
+    :data:`LAG_KEY`)."""
+    return batch.append_column("bucket", pa.array(
+        bucket_ids(batch, LAG_KEY, num_buckets), pa.int64()))
 
 
 def _lagged_schema(schema: pa.Schema) -> pa.Schema:
@@ -221,11 +214,7 @@ def lag_exchange(events_ds, num_buckets: int = 64):
     partition of whole buckets): the one keyed exchange, on
     hash(graph, page_key) through ``ops.bucket_exchange``, every column
     carried (SURVEY.md §4.3 shuffle #1)."""
-    from ..ops import bucket_exchange
-
-    keyed = events_ds.map_batches(
-        lambda b: add_bucket_column(b, num_buckets), batch_format="pyarrow")
-    return bucket_exchange(keyed, lag_events, num_buckets)
+    return bucket_exchange(events_ds, LAG_KEY, lag_events, num_buckets)
 
 
 def version_lag_group(df: pd.DataFrame) -> pd.DataFrame:

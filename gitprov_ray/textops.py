@@ -831,7 +831,7 @@ def phrase_search(ds, phrase: str, text_col: str = "text",
     postings prune), then ONE doc-bucketed exchange reduces votes →
     match starts → per-doc stats in a single group pass. Returns a
     Dataset (id_col, n_matches, first_pos) for matching docs."""
-    from .stages.versions import stable_bucket
+    from .ops import bucket_exchange
 
     words = phrase.split(" ")
     k = len(words)
@@ -847,10 +847,7 @@ def phrase_search(ds, phrase: str, text_col: str = "text",
         ex = ex[ex["tok"].isin(set(words))]
         v = ex.merge(widx, on="tok")
         v["adj"] = v["pos"] - v["i"]
-        v = v.loc[v["adj"] >= 0, [id_col, "adj"]]
-        key = v[id_col].astype(str)
-        v["bucket"] = stable_bucket(key, key, num_buckets)
-        return v
+        return v.loc[v["adj"] >= 0, [id_col, "adj"]]
 
     def reduce_doc(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby([id_col, "adj"]).size()
@@ -865,10 +862,8 @@ def phrase_search(ds, phrase: str, text_col: str = "text",
             "n_matches": agg["count"].to_numpy(np.int64),
             "first_pos": agg["min"].to_numpy(np.int64)})
 
-    return (ds.map_batches(votes, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: reduce_doc(df.drop(columns="bucket")),
-                        batch_format="pandas"))
+    return bucket_exchange(ds.map_batches(votes, batch_format="pandas"),
+                           [id_col], reduce_doc, num_buckets, "pandas")
 
 
 _SOUNDEX_MAP = str.maketrans("abcdefghijklmnopqrstuvwxyz",

@@ -10,7 +10,7 @@ shows which exchanges still pay that round.
 
 This is the static half of the 100-TB scale review: a query whose plan
 carries more exchanges than its algorithm needs is a candidate for the
-bucketed-combine treatment (CLAUDE.md invariants 3/6). Queries that
+bucketed-combine treatment (CLAUDE.md invariants 3/4). Queries that
 return pandas (driver-small results) execute eagerly and are reported
 as 'eager' — their shuffle shape is documented in their docstrings.
 
