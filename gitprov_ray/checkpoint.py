@@ -10,7 +10,11 @@ boundary (StoreService.java:40-43).
 
 Stages:
   1. ``revisions`` — pages parsed to the event table (the expensive html
-     pass; small output, ideal checkpoint);
+     pass; small output, ideal checkpoint), written via store.write_store
+     as one partition per graph under ``stage=revisions/``; the stage's
+     ``_MANIFEST.json`` holds the fingerprint, the graph list and the
+     total rows, so an incremental merge reads and replaces only the
+     graphs it touches;
   2. ``triples``  — the final graph, written via store.write_store (one
      sorted deduplicated partition per graph, per-partition manifests).
 
@@ -33,7 +37,7 @@ from . import schemas, store as store_mod
 from .pipelines import flagship as fl
 
 
-_CODE_VERSION = "r2"  # bump when stage semantics change → old checkpoints invalid
+_CODE_VERSION = "r3"  # bump when stage semantics change → old checkpoints invalid
 _STAGE_SCHEMAS = {"revisions": schemas.REVISIONS}
 
 
@@ -60,33 +64,58 @@ def _manifest_path(workdir: str, stage: str) -> str:
     return os.path.join(_stage_dir(workdir, stage), "_MANIFEST.json")
 
 
-def _stage_valid(workdir: str, stage: str, fingerprint: str) -> bool:
-    mp = _manifest_path(workdir, stage)
-    if not os.path.exists(mp):
-        return False
-    with open(mp) as f:
+def _stage_manifest(workdir: str, stage: str) -> dict:
+    """The stage-level manifest: fingerprint, graph list and total rows.
+    A stage written before the graph-partitioned layout is refused."""
+    with open(_manifest_path(workdir, stage)) as f:
         m = json.load(f)
-    if m.get("fingerprint") != fingerprint:
-        return False
+    if "graphs" not in m:
+        raise ValueError(
+            f"{_stage_dir(workdir, stage)!r} holds a flat-layout checkpoint "
+            "that predates the per-graph partitions; rebuild it with "
+            "run_flagship(..., fresh=True).")
+    return m
+
+
+def _write_stage_manifest(stage_root: str, stage: str, fingerprint: str,
+                          graphs, rows: int) -> None:
+    """Atomically (re)write a stage manifest inside the stage directory."""
+    tmp = os.path.join(stage_root, f"_MANIFEST.{uuid.uuid4().hex[:8]}")
+    with open(tmp, "w") as f:
+        json.dump({"stage": stage, "fingerprint": fingerprint,
+                   "graphs": sorted(graphs), "rows": rows}, f, sort_keys=True)
+    os.replace(tmp, os.path.join(stage_root, "_MANIFEST.json"))
+
+
+def _stage_valid(workdir: str, stage: str, fingerprint: str) -> bool:
     try:
-        files = [os.path.join(_stage_dir(workdir, stage), fn)
-                 for fn in m["files"]]
+        m = _stage_manifest(workdir, stage)
+        if m["fingerprint"] != fingerprint:
+            return False
+        files = store_mod.partition_files(_stage_dir(workdir, stage),
+                                          m["graphs"])
         return pads.dataset(files).count_rows() == m["rows"]
-    except Exception:
+    except (OSError, ValueError, KeyError, pa.ArrowException):
         return False
 
 
 def _write_stage(ds, workdir: str, stage: str, fingerprint: str) -> None:
+    """Write a whole stage: one partition per graph through the store's
+    writer, plus the stage manifest, staged and renamed into place. One
+    exchange on ``graph`` first puts each graph in one block, so the stage
+    holds one file per graph, not one per graph per input block: a
+    whole-stage read then opens as many files as there are graphs."""
+    from .ops import bucket_exchange
+    from .util import fanout
+
     final = _stage_dir(workdir, stage)
     staging = os.path.join(workdir, f".staging-{stage}-{uuid.uuid4().hex[:8]}")
     try:
-        ds.write_parquet(staging, compression="zstd")
-        files = sorted(f for f in os.listdir(staging) if f.endswith(".parquet"))
-        rows = pads.dataset(
-            [os.path.join(staging, f) for f in files]).count_rows()
-        with open(os.path.join(staging, "_MANIFEST.json"), "w") as f:
-            json.dump({"stage": stage, "rows": rows, "files": files,
-                       "fingerprint": fingerprint}, f, sort_keys=True)
+        written = store_mod.write_store(
+            bucket_exchange(ds, ["graph"], lambda t: t, fanout()), staging,
+            fingerprint=fingerprint)
+        _write_stage_manifest(staging, stage, fingerprint, written,
+                              sum(written.values()))
         if os.path.exists(final):
             shutil.rmtree(final)
         os.rename(staging, final)
@@ -94,17 +123,19 @@ def _write_stage(ds, workdir: str, stage: str, fingerprint: str) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _read_stage(workdir: str, stage: str):
-    """The stage's files against the stage's pinned schema. No partition
-    inference: the ``stage=<name>`` directory would otherwise add a
-    ``stage`` column to every row, and a write-back would persist it."""
+def _read_stage(workdir: str, stage: str, graphs=None):
+    """The stage's files (every listed graph, or only ``graphs``) against
+    the stage's pinned schema. No partition inference: the
+    ``stage=<name>`` and ``gpart=<graph>`` directories would otherwise add
+    ``stage`` and ``gpart`` columns to every row, and a write-back would
+    persist them."""
     from .util import read_parquet_clean
 
-    with open(_manifest_path(workdir, stage)) as f:
-        m = json.load(f)
-    return read_parquet_clean([os.path.join(_stage_dir(workdir, stage), fn)
-                               for fn in m["files"]],
-                              schema=_STAGE_SCHEMAS[stage], partitioning=None)
+    if graphs is None:
+        graphs = _stage_manifest(workdir, stage)["graphs"]
+    return read_parquet_clean(
+        store_mod.partition_files(_stage_dir(workdir, stage), graphs),
+        schema=_STAGE_SCHEMAS[stage], partitioning=None)
 
 
 def _has_incremental_state(workdir: str) -> bool:
@@ -229,17 +260,14 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     """Incremental update: merge a NEW batch of pages into an existing
     flagship run.
 
-    Only the graphs touched by the new batch recompute triples: their old
-    events (from the ``revisions`` stage checkpoint) union the new ones and
-    take the version-lag exchange ONCE (``versions.lag_exchange``); the
-    lagged slice is materialized and feeds both the triple path, which
-    replaces exactly those graph partitions in the store (replace-on-store
-    semantics), and the checkpoint write-back. Version chains stay correct
-    because the lag exchange sees the affected graphs' FULL event history,
-    old and new. The triple work follows the affected graphs, but the
-    revisions checkpoint is still read twice (the affected slice and the
-    rest) and rewritten whole, so each call is O(corpus) in I/O;
-    partitioning the checkpoint by graph is the open fix.
+    Only the graphs the batch touches recompute: their partitions of the
+    ``revisions`` stage union the new events and take the version-lag
+    exchange ONCE (``versions.lag_exchange``), so version chains see each
+    affected graph's FULL history, old and new. The lagged slice is
+    materialized and feeds both the triple path and the checkpoint
+    write-back; each replaces exactly those graphs' partitions
+    (replace-on-store semantics): store first, then revisions, then the
+    stage manifest.
 
     Re-sending already-processed pages is a no-op: the lag exchange keeps
     the events distinct on (graph, page_key, snapshot_id, event_seq), so
@@ -247,36 +275,33 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     The new fingerprint is derived deterministically (sha1 of the prior
     fingerprint + an order-independent batch content digest) — two runs
     merging the same batches produce the same fingerprint chain. Returns
-    {graphs, new_events, triples_written}.
+    {graphs, new_events, triples_written}. A workdir whose revisions stage
+    predates the per-graph layout raises ``ValueError``.
     """
     from . import synth
     from .ops import materialize_normalized
     from .stages import versions
 
+    stage_root = _stage_dir(workdir, "revisions")
+    prior = _stage_manifest(workdir, "revisions")
+    store_mod.recover_replaced(stage_root)  # before the history is read
     new_revs = fl.revisions_from_pages(new_pages_ds).materialize()
     affected, digest = _graphs_and_digest(new_revs)
     if not affected:
         return {"graphs": [], "new_events": 0, "triples_written": 0}
 
-    import pyarrow.compute as pc
-
-    aff_arr = pa.array(affected, pa.string())
-    old_revs = _read_stage(workdir, "revisions")
-    # Arrow filter — a pandas round trip would mangle the parents list col
-    old_aff = old_revs.map_batches(
-        lambda t: t.filter(pc.is_in(t["graph"], value_set=aff_arr)),
-        batch_format="pyarrow")
+    old = sorted(set(affected) & set(prior["graphs"]))
+    events = new_revs if not old else \
+        _read_stage(workdir, "revisions", graphs=old).union(new_revs)
     # materialized once: it feeds the triples AND the write-back. The
     # slice holds few (graph, page_key) buckets, so the exchange leaves
     # empty partitions; dropping them keeps column-less blocks out of both
     lagged = materialize_normalized(
-        versions.lag_exchange(old_aff.union(new_revs),
-                              num_buckets=num_buckets), versions.LAGGED)
+        versions.lag_exchange(events, num_buckets=num_buckets),
+        versions.LAGGED)
 
-    with open(_manifest_path(workdir, "revisions")) as f:
-        prior_fp = json.load(f).get("fingerprint", "none")
     fp = "incremental-" + hashlib.sha1(
-        f"{prior_fp}|{digest}".encode()).hexdigest()[:16]
+        f"{prior['fingerprint']}|{digest}".encode()).hexdigest()[:16]
 
     contributors = synth.contributors_for_sources(affected).to_pylist()
     triples = fl.triples_from_lagged(lagged, contributors,
@@ -284,13 +309,16 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     store_root = os.path.join(workdir, "triples_store")
     written = store_mod.write_store(triples, store_root, fingerprint=fp)
 
-    # extend the revisions checkpoint so the NEXT update sees this history
-    old_rest = old_revs.map_batches(
-        lambda t: t.filter(pc.invert(pc.is_in(t["graph"], value_set=aff_arr))),
-        batch_format="pyarrow")
-    _write_stage(old_rest.union(
-        lagged.select_columns(schemas.REVISIONS.names)),
-        workdir, "revisions", fp)
+    # replace the affected graphs' revisions partitions so the NEXT update
+    # sees this history; every other partition stays as it is
+    old_rows = sum(store_mod.read_manifest(stage_root, g)["rows"]
+                   for g in old)
+    revs = store_mod.write_store(
+        lagged.select_columns(schemas.REVISIONS.names), stage_root,
+        fingerprint=fp)
+    _write_stage_manifest(stage_root, "revisions", fp,
+                          set(prior["graphs"]) | set(revs),
+                          prior["rows"] - old_rows + sum(revs.values()))
 
     return {"graphs": affected, "new_events": new_revs.count(),
             "triples_written": sum(written.values())}

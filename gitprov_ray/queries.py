@@ -4096,6 +4096,18 @@ class _KeywordMatcher:
         return pd.DataFrame(rows, columns=["keyword", "n_docs", "n_matches"])
 
 
+def _actor_pool() -> dict:
+    """``map_batches`` arguments for a pool of up to 2 actors that leaves
+    one CPU to the reads feeding it: two 1-CPU actors at 2 CPUs held both,
+    and the ReadParquet tasks never scheduled. The pool shares the other
+    CPUs; at 1 CPU its one actor takes none."""
+    from .util import cluster_cpus
+
+    spare = cluster_cpus() - 1
+    n = max(1, min(2, spare))
+    return {"concurrency": n, "num_cpus": min(1.0, spare / n)}
+
+
 def q_keyword_match_docs(sf_dir: str):
     """Multi-keyword match statistics over the corpus (the blocklist /
     taxonomy-tagging primitive): per keyword, how many docs contain it
@@ -4103,7 +4115,7 @@ def q_keyword_match_docs(sf_dir: str):
     final merge is a driver-side sum (two-phase aggregate)."""
     ds = _read(sf_dir, "documents", ["text"])
     partials = ds.map_batches(
-        _KeywordMatcher, batch_format="pandas", concurrency=2).to_pandas()
+        _KeywordMatcher, batch_format="pandas", **_actor_pool()).to_pandas()
     out = (partials.groupby("keyword", as_index=False)[["n_docs", "n_matches"]]
            .sum().sort_values("keyword").reset_index(drop=True))
     return out.astype({"n_docs": "int64", "n_matches": "int64"})
@@ -4260,7 +4272,7 @@ def q_pdf_extract_docs(sf_dir: str):
     tree, not just the text."""
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     return ds.map_batches(_PdfRoundtrip, batch_format="pandas",
-                          concurrency=2).sort("doc_id")
+                          **_actor_pool()).sort("doc_id")
 
 
 def q_validate_events(sf_dir: str):

@@ -27,6 +27,8 @@ import pyarrow.dataset as pads
 logger = logging.getLogger(__name__)
 
 _PART_PREFIX = "gpart="
+# a partition moved aside while its replacement is renamed into place
+_REPLACED = ".replaced"
 
 
 def _esc(graph: str) -> str:
@@ -48,6 +50,7 @@ def write_store(triples_ds, root: str, skip_existing: bool = False,
     dataset writes nothing and returns {} (the store is left unchanged).
     """
     os.makedirs(root, exist_ok=True)
+    recover_replaced(root)
     existing = set(list_graphs(root)) if skip_existing else set()
 
     staging = os.path.join(root, f".staging-{uuid.uuid4().hex[:8]}")
@@ -75,7 +78,7 @@ def write_store(triples_ds, root: str, skip_existing: bool = False,
             _write_manifest(src, graph, rows, fingerprint)
             dst = os.path.join(root, entry)
             if os.path.exists(dst):
-                bak = dst + ".replaced"
+                bak = dst + _REPLACED
                 os.rename(dst, bak)
                 os.rename(src, dst)
                 shutil.rmtree(bak)
@@ -85,6 +88,25 @@ def write_store(triples_ds, root: str, skip_existing: bool = False,
         return written
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+
+
+def recover_replaced(root: str) -> None:
+    """Finish every replace under ``root`` that a crash (or a failed
+    rmtree) interrupted: a leftover ``gpart=<g>.replaced`` is the old
+    partition, so it is removed when ``gpart=<g>`` made it into place and
+    restored when it did not. ``write_store`` runs it before it writes; a
+    caller that reads partitions it is about to replace runs it first."""
+    for entry in sorted(os.listdir(root)):
+        if not (entry.startswith(_PART_PREFIX) and entry.endswith(_REPLACED)):
+            continue
+        bak = os.path.join(root, entry)
+        dst = bak[:-len(_REPLACED)]
+        if os.path.exists(dst):
+            logger.warning("store: removing leftover %s", entry)
+            shutil.rmtree(bak)
+        else:
+            logger.warning("store: restoring interrupted replace %s", entry)
+            os.rename(bak, dst)
 
 
 def _write_manifest(part_dir: str, graph: str, rows: int,
@@ -107,13 +129,26 @@ def read_manifest(root: str, graph: str) -> dict | None:
         return json.load(f)
 
 
+def partition_files(root: str, graphs) -> list[str]:
+    """The data files of the named graph partitions, as their manifests
+    list them; a partition without a manifest contributes none."""
+    files = []
+    for g in graphs:
+        m = read_manifest(root, g)
+        if m:
+            part = os.path.join(root, _PART_PREFIX + _esc(g))
+            files.extend(os.path.join(part, f) for f in m["files"])
+    return files
+
+
 def list_graphs(root: str) -> list[str]:
-    """Graphs with a valid manifest whose row count matches the parquet."""
+    """Graphs with a valid manifest whose row count matches the parquet.
+    A partition left aside by an interrupted replace is not a graph."""
     out = []
     if not os.path.isdir(root):
         return out
     for entry in sorted(os.listdir(root)):
-        if not entry.startswith(_PART_PREFIX):
+        if not entry.startswith(_PART_PREFIX) or entry.endswith(_REPLACED):
             continue
         graph = _unesc(entry[len(_PART_PREFIX):])
         m = read_manifest(root, graph)
@@ -137,18 +172,8 @@ def read_store(root: str, graph: str | None = None, columns=None,
     ``columns`` prunes at the parquet read (a 2-column scan must not ship
     6 columns off storage); ``predicate`` pushes an equality filter on the
     triple's ``pred`` URI into the row-group scan."""
-    import ray.data as rd
-
-    if graph is None:
-        dirs = [os.path.join(root, _PART_PREFIX + _esc(g))
-                for g in list_graphs(root)]
-    else:
-        dirs = [os.path.join(root, _PART_PREFIX + _esc(graph))]
-    files = []
-    for d in dirs:
-        m = read_manifest(root, _unesc(os.path.basename(d)[len(_PART_PREFIX):]))
-        if m:
-            files.extend(os.path.join(d, f) for f in m["files"])
+    files = partition_files(root, list_graphs(root) if graph is None
+                            else [graph])
     if not files:
         raise FileNotFoundError(f"no stored graphs under {root!r} for {graph!r}")
     kwargs = {}

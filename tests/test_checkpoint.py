@@ -311,6 +311,85 @@ def test_incremental_soak_three_batches_resend_and_rebuild(
     assert store.list_graphs(f"{wd}/triples_store")
 
 
+def test_merge_touches_only_its_own_graphs(ray_session, tiny_corpus,
+                                           tmp_path):
+    """A merge reads and replaces only the revisions partitions of the
+    graphs its batch touches: every other graph's partition keeps its file
+    names and mtimes, nothing else is left in the stage directory (a
+    partition an interrupted replace left aside is restored first), and
+    the stage manifest's row count stays the sum of the partition row
+    counts. A stage written in the flat layout is refused."""
+    import json
+    import os
+
+    import pyarrow as pa
+    import pyarrow.dataset as pads
+    import ray.data as rd
+
+    from gitprov_ray import checkpoint, schemas, store, synth
+    from gitprov_ray.pipelines import flagship as fl
+
+    pages, _, _ = tiny_corpus
+    pdf = pages.to_pandas().sort_values(["url", "warc_ts"], kind="mergesort")
+    pdf["g"] = pdf["url"].str.split("/").str[2]
+    first = pdf.drop_duplicates("url", keep="first")
+    rest = pdf[~pdf.index.isin(first.index)]
+    target = sorted(set(rest["g"]))[0]
+    to_tbl = lambda d: pa.Table.from_pandas(
+        d.drop(columns=["g"]).reset_index(drop=True), schema=schemas.PAGES,
+        preserve_index=False)
+    graphs = sorted(set(pdf["g"]))
+    assert len(graphs) > 1
+    contributors = synth.contributors_for_sources(graphs).to_pylist()
+
+    wd = str(tmp_path / "wd")
+    os.makedirs(wd)
+    checkpoint._write_stage(fl.revisions_from_pages(
+        rd.from_arrow(to_tbl(first))), wd, "revisions", "init")
+    store.write_store(fl.triples_from_revisions(
+        checkpoint._read_stage(wd, "revisions"), contributors,
+        num_buckets=4), f"{wd}/triples_store", fingerprint="init")
+
+    d = checkpoint._stage_dir(wd, "revisions")
+
+    def partitions():
+        return {e: sorted((f, os.stat(os.path.join(d, e, f)).st_mtime_ns)
+                          for f in os.listdir(os.path.join(d, e)))
+                for e in os.listdir(d) if e != "_MANIFEST.json"}
+
+    before = partitions()
+    assert sorted(before) == [f"gpart={g}" for g in graphs]
+    with open(checkpoint._manifest_path(wd, "revisions")) as f:
+        rows_before = json.load(f)["rows"]
+    # a crash mid-replace left the target's partition moved aside: the
+    # merge restores it before it reads the graph's history
+    os.rename(os.path.join(d, f"gpart={target}"),
+              os.path.join(d, f"gpart={target}.replaced"))
+    res = checkpoint.update_flagship(
+        wd, rd.from_arrow(to_tbl(rest[rest["g"] == target])), num_buckets=4)
+    assert res["graphs"] == [target] and res["new_events"] > 0
+    after = partitions()
+    assert sorted(after) == sorted(before)
+    assert {e for e in before if after[e] != before[e]} == {f"gpart={target}"}
+
+    with open(checkpoint._manifest_path(wd, "revisions")) as f:
+        m = json.load(f)
+    assert m["graphs"] == graphs and m["fingerprint"].startswith("incremental-")
+    assert m["rows"] == rows_before + res["new_events"]
+    assert m["rows"] == sum(store.read_manifest(d, g)["rows"] for g in graphs)
+    assert m["rows"] == pads.dataset(d, format="parquet").count_rows()
+    assert m["rows"] == checkpoint._read_stage(wd, "revisions").count()
+
+    flat = tmp_path / "flat"
+    (flat / "stage=revisions").mkdir(parents=True)
+    with open(checkpoint._manifest_path(str(flat), "revisions"), "w") as f:
+        json.dump({"stage": "revisions", "rows": 0, "files": [],
+                   "fingerprint": "incremental-0"}, f)
+    with pytest.raises(ValueError, match=r"run_flagship\(\.\.\., fresh=True\)"):
+        checkpoint.update_flagship(str(flat), rd.from_arrow(to_tbl(rest)),
+                                   num_buckets=4)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_canonicalize_cold_vs_crash_resume(tmp_path):
     """VERDICT r04 #6 twin (sf0.001): the canonicalize=True flagship
@@ -356,8 +435,9 @@ def test_revisions_checkpoint_keeps_the_revisions_schema(ray_session,
                                                          tmp_path):
     """After ``run_flagship`` and two ``update_flagship`` calls every
     revisions file carries exactly ``schemas.REVISIONS``: the read-back
-    infers no hive ``stage`` column from the ``stage=revisions`` directory,
-    and the write-back persists no column the events do not have."""
+    infers no hive ``stage`` or ``gpart`` column from the
+    ``stage=revisions/gpart=<graph>`` directories, and the write-back
+    persists no column the events do not have."""
     import os
 
     import pyarrow as pa
@@ -381,10 +461,11 @@ def test_revisions_checkpoint_keeps_the_revisions_schema(ray_session,
     for batch in (pages.slice(0, half), pages.slice(half)):
         checkpoint.update_flagship(wd, rd.from_arrow(batch), num_buckets=4)
     d = checkpoint._stage_dir(wd, "revisions")
-    files = sorted(f for f in os.listdir(d) if f.endswith(".parquet"))
+    files = sorted(os.path.join(root, f) for root, _, names in os.walk(d)
+                   for f in names if f.endswith(".parquet"))
     assert files
     for f in files:
-        got = pq.read_schema(os.path.join(d, f)).remove_metadata()
+        got = pq.read_schema(f).remove_metadata()
         assert got.equals(schemas.REVISIONS), f
     assert checkpoint._read_stage(wd, "revisions").schema().base_schema \
         .equals(schemas.REVISIONS)

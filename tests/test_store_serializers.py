@@ -400,3 +400,37 @@ def test_write_store_empty_dataset_is_noop(tmp_path):
     assert store.list_graphs(root) == ["g.example"]
     assert store.read_store(root).count() == 1
     assert [e for e in os.listdir(root) if e.startswith(".staging")] == []
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_interrupted_replace_leaves_no_phantom_graph(tmp_path):
+    """A ``gpart=<g>.replaced`` directory left by an interrupted replace is
+    not a graph: list_graphs skips it, and the next write_store removes it
+    when the new partition made it into place and restores it when it did
+    not."""
+    import shutil
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from gitprov_ray import schemas, store
+
+    def one(graph):
+        return rd.from_arrow(pa.Table.from_pylist(
+            [{"subj": "s", "pred": "p", "obj": "o", "obj_is_literal": False,
+              "obj_dtype": "", "graph": graph}], schema=schemas.TRIPLES))
+
+    root = str(tmp_path / "store")
+    for g in ("a.example", "b.example"):
+        store.write_store(one(g), root)
+    a, b = (os.path.join(root, f"gpart={g}") for g in ("a.example",
+                                                       "b.example"))
+    shutil.copytree(a, a + ".replaced")  # crashed after the rename in
+    os.rename(b, b + ".replaced")        # crashed before it
+    assert store.list_graphs(root) == ["a.example"]
+
+    assert store.write_store(one("c.example"), root) == {"c.example": 1}
+    assert sorted(os.listdir(root)) == [
+        "gpart=a.example", "gpart=b.example", "gpart=c.example"]
+    assert store.list_graphs(root) == ["a.example", "b.example", "c.example"]
+    assert store.read_store(root).count() == 3
