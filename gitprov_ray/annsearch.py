@@ -18,6 +18,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from .ops import bucket_exchange, each_group
+
 _HP_SEED = 7
 _N_PLANES = 12
 
@@ -44,11 +46,30 @@ def _batch_topk(df: pd.DataFrame, q_ids: np.ndarray, q_mat: np.ndarray,
                          "sim": pd.Series(rows["sim"], dtype="float64")})
 
 
-def _merge_topk(df: pd.DataFrame, k: int) -> pd.DataFrame:
-    df = df.sort_values(["sim", "neighbor_id"], ascending=[False, True],
-                        kind="mergesort").head(k).reset_index(drop=True)
-    df["rank"] = np.arange(1, len(df) + 1, dtype="int64")
-    return df[["query_id", "rank", "neighbor_id"]]
+def _merge_topk(df: pd.DataFrame, k: int, score: str = "sim",
+                descending: bool = True) -> pd.DataFrame:
+    """The k best candidates per query_id by ``score`` (ties → smaller
+    neighbor_id), ranked 1..k; any number of queries per frame. A
+    similarity keeps (query_id, rank, neighbor_id); a distance keeps
+    its column too."""
+    df = df.sort_values(["query_id", score, "neighbor_id"],
+                        ascending=[True, not descending, True],
+                        kind="mergesort")
+    df = df[df.groupby("query_id", sort=False).cumcount() < k]
+    df = df.assign(rank=df.groupby("query_id", sort=False).cumcount()
+                   .astype("int64") + 1)
+    return df[["query_id", "rank", "neighbor_id"]
+              + ([] if score == "sim" else [score])]
+
+
+def _merge_partials(partials, query_ids, k: int, score: str = "sim",
+                    descending: bool = True):
+    """The per-query merge of every batch's partial top-k: one keyed
+    exchange on query_id, one bucket per query."""
+    return bucket_exchange(
+        partials, ["query_id"],
+        lambda df: _merge_topk(df, k, score, descending),
+        max(1, len(query_ids)), "pandas")
 
 
 def brute_force_topk(emb_ds, query_ids: list[int], k: int = 5,
@@ -65,8 +86,7 @@ def brute_force_topk(emb_ds, query_ids: list[int], k: int = 5,
     partials = emb_ds.map_batches(
         lambda df: _batch_topk(df, q_ids, q_mat, k, id_col, vec_col),
         batch_format="pandas", batch_size=4096)
-    return partials.groupby("query_id").map_groups(
-        lambda df: _merge_topk(df, k), batch_format="pandas")
+    return _merge_partials(partials, query_ids, k)
 
 
 def hard_negative_topk(emb_ds, query_ids: list[int], k: int = 5,
@@ -109,8 +129,7 @@ def hard_negative_topk(emb_ds, query_ids: list[int], k: int = 5,
 
     partials = emb_ds.map_batches(batch_neg, batch_format="pandas",
                                   batch_size=4096)
-    return partials.groupby("query_id").map_groups(
-        lambda df: _merge_topk(df, k), batch_format="pandas")
+    return _merge_partials(partials, query_ids, k)
 
 
 def hamming_topk(emb_ds, query_ids: list[int], k: int = 5,
@@ -158,17 +177,10 @@ def hamming_topk(emb_ds, query_ids: list[int], k: int = 5,
             "neighbor_id": pd.Series(rows["neighbor_id"], dtype="int64"),
             "hamming": pd.Series(rows["hamming"], dtype="int64")})
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["hamming", "neighbor_id"],
-                            ascending=[True, True],
-                            kind="mergesort").head(k).reset_index(drop=True)
-        df["rank"] = np.arange(1, len(df) + 1, dtype="int64")
-        return df[["query_id", "rank", "neighbor_id", "hamming"]]
-
     partials = emb_ds.map_batches(batch_ham, batch_format="pandas",
                                   batch_size=4096)
-    return partials.groupby("query_id").map_groups(
-        merge, batch_format="pandas")
+    return _merge_partials(partials, query_ids, k, "hamming",
+                           descending=False)
 
 
 def _hyperplanes(dim: int, n_planes: int = _N_PLANES) -> np.ndarray:
@@ -211,29 +223,22 @@ def lsh_topk(emb_ds, query_ids: list[int], k: int = 5,
         m = np.stack([np.asarray(v, dtype=np.float64) for v in df[vec_col]])
         planes = _hyperplanes(m.shape[1], n_planes)
         out = df[[id_col, vec_col]].copy()
-        out["bucket"] = _bucket_of(m, planes)
+        out["lsh"] = _bucket_of(m, planes)
         return out
 
     bucketed = emb_ds.map_batches(with_bucket, batch_format="pandas")
 
     def in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        q = df[df[id_col].isin(qset)]
-        if len(q) == 0:
-            return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                                 "rank": pd.Series(dtype="int64"),
-                                 "neighbor_id": pd.Series(dtype="int64")})
-        q_ids = q[id_col].to_numpy()
-        qm = np.stack([np.asarray(v, dtype=np.float64) for v in q[vec_col]])
+        sel = df[id_col].isin(qset).to_numpy()
+        qm = np.stack([np.asarray(v, dtype=np.float64)
+                       for v in df[vec_col]])[sel]
         qm = qm / np.maximum(np.linalg.norm(qm, axis=1, keepdims=True), 1e-12)
-        part = _batch_topk(df, q_ids, qm, k, id_col, vec_col)
-        merged = [_merge_topk(g, k) for _, g in part.groupby("query_id", sort=True)]
-        if not merged:
-            return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                                 "rank": pd.Series(dtype="int64"),
-                                 "neighbor_id": pd.Series(dtype="int64")})
-        return pd.concat(merged, ignore_index=True)
+        part = _batch_topk(df, df[id_col].to_numpy()[sel], qm, k, id_col,
+                           vec_col)
+        return _merge_topk(part, k)
 
-    return bucketed.groupby("bucket").map_groups(in_bucket, batch_format="pandas")
+    return bucket_exchange(bucketed, ["lsh"], each_group("lsh", in_bucket), 64,
+                           "pandas")
 
 
 def lsh_multiprobe_topk(emb_ds, query_ids: list[int], k: int = 5,
@@ -265,11 +270,11 @@ def lsh_multiprobe_topk(emb_ds, query_ids: list[int], k: int = 5,
     def with_bucket(df: pd.DataFrame) -> pd.DataFrame:
         m = np.stack([np.asarray(v, dtype=np.float64) for v in df[vec_col]])
         out = df[[id_col, vec_col]].copy()
-        out["bucket"] = _bucket_of(m, planes)
+        out["lsh"] = _bucket_of(m, planes)
         return out
 
     def in_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        b = int(df["bucket"].iloc[0])
+        b = int(df["lsh"].iloc[0])
         sel = np.array([b in probes[int(qid)] for qid in q_ids])
         if not sel.any():
             return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
@@ -277,11 +282,10 @@ def lsh_multiprobe_topk(emb_ds, query_ids: list[int], k: int = 5,
                                  "sim": pd.Series(dtype="float64")})
         return _batch_topk(df, q_ids[sel], qm[sel], k, id_col, vec_col)
 
-    partials = (emb_ds.map_batches(with_bucket, batch_format="pandas")
-                .groupby("bucket")
-                .map_groups(in_bucket, batch_format="pandas"))
-    return partials.groupby("query_id").map_groups(
-        lambda df: _merge_topk(df, k), batch_format="pandas")
+    partials = bucket_exchange(
+        emb_ds.map_batches(with_bucket, batch_format="pandas"), ["lsh"],
+        each_group("lsh", in_bucket), 64, "pandas")
+    return _merge_partials(partials, query_ids, k)
 
 
 def ivf_topk(emb_ds, query_ids: list[int], k: int = 5, n_centroids: int = 16,
@@ -334,10 +338,10 @@ def ivf_topk(emb_ds, query_ids: list[int], k: int = 5, n_centroids: int = 16,
         sel = np.isin(q_ids, targets)
         return _batch_topk(df, q_ids[sel], qm[sel], k, id_col, vec_col)
 
-    partials = listed.groupby("ivf_list").map_groups(search_list,
-                                                     batch_format="pandas")
-    return partials.groupby("query_id").map_groups(
-        lambda df: _merge_topk(df, k), batch_format="pandas")
+    partials = bucket_exchange(listed, ["ivf_list"],
+                               each_group("ivf_list", search_list),
+                               n_centroids, "pandas")
+    return _merge_partials(partials, query_ids, k)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +411,7 @@ def cosine_neardup_pairs_lsh(emb_ds, threshold: float = 0.9,
         m = np.stack([np.asarray(v, dtype=np.float64) for v in df[vec_col]])
         planes = _hyperplanes(m.shape[1])
         out = df[[id_col, vec_col]].copy()
-        out["bucket"] = _bucket_of(m, planes)
+        out["lsh"] = _bucket_of(m, planes)
         return out
 
     def in_bucket(df: pd.DataFrame) -> pd.DataFrame:
@@ -421,8 +425,9 @@ def cosine_neardup_pairs_lsh(emb_ds, threshold: float = 0.9,
         return pd.DataFrame({"a": pd.Series(a[keep], dtype="int64"),
                              "b": pd.Series(b[keep], dtype="int64")})
 
-    return (emb_ds.map_batches(with_bucket, batch_format="pandas")
-            .groupby("bucket").map_groups(in_bucket, batch_format="pandas"))
+    return bucket_exchange(
+        emb_ds.map_batches(with_bucket, batch_format="pandas"), ["lsh"],
+        each_group("lsh", in_bucket), 64, "pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -554,24 +559,13 @@ def ivf_kmeans_topk(emb_ds, query_ids: list[int], k: int = 5,
             vec_col: df[vec_col].to_numpy()})
 
     def search_list(df: pd.DataFrame) -> pd.DataFrame:
-        cl = int(df["cluster"].iloc[0])
-        sel = q_cluster == cl
-        if not sel.any():
-            return pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                                 "rank": pd.Series(dtype="int64"),
-                                 "neighbor_id": pd.Series(dtype="int64")})
+        sel = q_cluster == int(df["cluster"].iloc[0])
         part = _batch_topk(df, q_ids[sel], qm[sel], k, id_col, vec_col)
-        merged = [_merge_topk(g, k)
-                  for _, g in part.groupby("query_id", sort=True)]
-        return (pd.concat(merged, ignore_index=True) if merged else
-                pd.DataFrame({"query_id": pd.Series(dtype="int64"),
-                              "rank": pd.Series(dtype="int64"),
-                              "neighbor_id": pd.Series(dtype="int64")}))
+        return _merge_topk(part, k)
 
-    return (emb_ds.map_batches(assign, batch_format="pandas",
-                               batch_size=4096)
-            .groupby("cluster")
-            .map_groups(search_list, batch_format="pandas"))
+    return bucket_exchange(
+        emb_ds.map_batches(assign, batch_format="pandas", batch_size=4096),
+        ["cluster"], each_group("cluster", search_list), n_centroids, "pandas")
 
 
 def pq_codes(emb_ds, n_sub: int = 2, k: int = 4, iters: int = 3,
@@ -686,15 +680,9 @@ def pq_adc_topk(emb_ds, query_ids: list[int], k: int = 5, n_sub: int = 2,
             "neighbor_id": pd.Series(rows["neighbor_id"], dtype="int64"),
             "dist": pd.Series(rows["dist"], dtype="int64")})
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["dist", "neighbor_id"],
-                            kind="mergesort").head(k).reset_index(drop=True)
-        df["rank"] = np.arange(1, len(df) + 1, dtype="int64")
-        return df[["query_id", "rank", "neighbor_id", "dist"]]
-
-    return (emb_ds.map_batches(scan, batch_format="pandas",
-                               batch_size=4096)
-            .groupby("query_id").map_groups(merge, batch_format="pandas"))
+    return _merge_partials(
+        emb_ds.map_batches(scan, batch_format="pandas", batch_size=4096),
+        query_ids, k, "dist", descending=False)
 
 
 def kcenter_coreset(emb_ds, k: int = 4, id_col: str = "vec_id",
@@ -787,7 +775,7 @@ def semdedup(emb_ds, k: int | None = None, iters: int = 3,
                              "cluster": df["cluster"].to_numpy(),
                              "keep": ~dup})
 
-    return (emb_ds.map_batches(assign_with_vec, batch_format="pandas",
-                               batch_size=4096)
-            .groupby("cluster")
-            .map_groups(dedup_group, batch_format="pandas"))
+    return bucket_exchange(
+        emb_ds.map_batches(assign_with_vec, batch_format="pandas",
+                           batch_size=4096),
+        ["cluster"], each_group("cluster", dedup_group), k, "pandas")

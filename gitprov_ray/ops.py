@@ -201,6 +201,18 @@ def sum_by_key(ds, key_cols: list[str], val_cols: list[str],
     return bucket_exchange(ds, key_cols, total, num_buckets, "pandas")
 
 
+def each_group(key: str, fn):
+    """``fn`` once per ``key`` group of a :func:`bucket_exchange`
+    partition, results concatenated: the kernel form for a reduce written
+    for ONE natural-key group (it compares every row of its frame, or
+    reads the key through ``iloc[0]``), so several groups in one call
+    give the rows each group gives alone."""
+    def run(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.concat([fn(g) for _, g in df.groupby(key, sort=False)],
+                         ignore_index=True)
+    return run
+
+
 def _pa_type_of(value):
     """Arrow type for a sampled key value (ints widened to int64, floats to
     float64, plus dates/timestamps/binary via scalar inference)."""
@@ -1228,9 +1240,9 @@ def hll_distinct_by(ds, key_col: str, col: str, p: int = 12):
         return pd.DataFrame({key_col: [df[key_col].iloc[0]],
                              "regs": [acc.tobytes()]})
 
-    merged = (ds.map_batches(partial, batch_format="pandas")
-              .groupby(key_col).map_groups(merge, batch_format="pandas")
-              .to_pandas())
+    merged = bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                             [key_col], each_group(key_col, merge), 16,
+                             "pandas").to_pandas()
     out = pd.DataFrame({
         key_col: merged[key_col],
         "distinct_est": [
@@ -1491,9 +1503,8 @@ def late_data_window_counts(ds, ts_us_col: str, arrival_us_col: str,
         return (out.groupby("window_start_us", sort=False, as_index=False)
                 [["n_kept", "n_late"]].sum())
 
-    return (ds.map_batches(tag_bucket, batch_format="pandas")
-            .groupby("__b")
-            .map_groups(lambda df: replay(df), batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(tag_bucket, batch_format="pandas"),
+                            ["__b"], each_group("__b", replay), 64, "pandas")
             .groupby("window_start_us")
             .aggregate(Sum("n_kept", alias_name="n_kept"),
                        Sum("n_late", alias_name="n_late"))

@@ -29,6 +29,7 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from . import annsearch, linking, textops
+from .ops import bucket_exchange, distinct_rows, sum_by_key
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -143,15 +144,7 @@ def q_lag_events(sf_dir: str):
     table): previous event id per user, ordered by (ts, event_id).
     Hash-bucketed groupby + vectorized pandas shift (same pattern as the
     version-chain shuffle)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["user_id"].astype(str)
-        df = df.copy()
-        df["bucket"] = stable_bucket(key, key, 32)
-        return df
 
     def lag(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -162,10 +155,7 @@ def q_lag_events(sf_dir: str):
         out["prev_event_id"] = out["prev_event_id"].astype("float64")
         return out
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: lag(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], lag, 32, "pandas")
             .sort("event_id"))
 
 
@@ -184,27 +174,11 @@ def q_hourly_user_activity(sf_dir: str):
             n_events=("n", "sum"), sum_value_cents=("cents", "sum"))
         return a.reset_index()
 
-    # distributed final combine via the bucketed-shuffle pattern: one hash
-    # bucket per reducer, one vectorized pandas groupby per bucket (Ray's
+    # distributed final combine through the keyed exchange (Ray's
     # multi-key aggregate was measured 20x slower here — per-group overhead
     # on ~100k (user, hour) groups)
-    from .ops import stable_bucket
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 64)
-        return df
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        return df.groupby(["user_id", "hour"], sort=False, as_index=False)[
-            ["n_events", "sum_value_cents"]].sum()
-
-    return (ds.map_batches(partial, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: combine(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (sum_by_key(ds.map_batches(partial, batch_format="pandas"),
+                       ["user_id", "hour"], ["n_events", "sum_value_cents"])
             .sort(["user_id", "hour"]))
 
 
@@ -387,15 +361,7 @@ def q_percent_rank_events(sf_dir: str):
     vectorized in-group ranks; both statistics emitted as exact integer
     millis via big-int round-half-up, so the twin hash-matches without
     float division noise."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["event_type"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def ranks(df: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -425,10 +391,7 @@ def q_percent_rank_events(sf_dir: str):
                               "pr_millis": pd.Series([], dtype="int64"),
                               "cd_millis": pd.Series([], dtype="int64")}))
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: ranks(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["event_type"], ranks, 32, "pandas")
             .sort("event_id"))
 
 
@@ -441,7 +404,6 @@ def q_novelty_docs(sf_dir: str):
     novel-gram counts back per doc; millis = round-half-up of
     1000*novel/n in exact integers."""
     from .linking import _shingle_hashes_batch
-    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -451,10 +413,8 @@ def q_novelty_docs(sf_dir: str):
         reps = [len(u) for u in uniq]
         g = (np.concatenate(uniq) if uniq else
              np.empty(0, dtype=np.uint64)).astype("uint64")
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "doc_id": np.repeat(df["doc_id"].to_numpy(), reps), "g": g})
-        out["bucket"] = (g % np.uint64(64)).astype("int64")
-        return out
 
     def df_counts(df: pd.DataFrame) -> pd.DataFrame:
         df = df.drop_duplicates(["doc_id", "g"])
@@ -475,20 +435,9 @@ def q_novelty_docs(sf_dir: str):
             "n_grams": g["n"].astype("int64"),
             "novelty_millis": pd.Series(millis, dtype="int64")})
 
-    def doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["doc_id"].astype(str)
-        df["b2"] = stable_bucket(k, k, 32)
-        return df
-
-    return (ds.map_batches(gram_rows, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: df_counts(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
-            .map_batches(doc_bucket, batch_format="pandas")
-            .groupby("b2")
-            .map_groups(lambda df: fold(df.drop(columns=["b2"])),
-                        batch_format="pandas")
+    grams = ds.map_batches(gram_rows, batch_format="pandas")
+    counts = bucket_exchange(grams, ["g"], df_counts, 64, "pandas")
+    return (bucket_exchange(counts, ["doc_id"], fold, 32, "pandas")
             .sort("doc_id"))
 
 
@@ -518,8 +467,6 @@ def q_skipgram_pairs(sf_dir: str, window: int = 2, topn: int = 50):
     row expansion per batch (one shifted-array concat per offset, no
     Python loop over tokens), per-batch partial counts, ONE bucketed
     shuffle on the pair key; top-N by (count desc, pair asc)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["text"])
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
@@ -544,19 +491,8 @@ def q_skipgram_pairs(sf_dir: str, window: int = 2, topn: int = 50):
              .rename("n").reset_index())
         return g
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["center"].astype(str) + "|" + df["context"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
-
-    agg = (ds.map_batches(pairs, batch_format="pandas")
-           .map_batches(bucketize, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: df.groupby(["center", "context"],
-                                             sort=False, as_index=False)
-                       ["n"].sum(), batch_format="pandas")
-           .to_pandas())
+    agg = sum_by_key(ds.map_batches(pairs, batch_format="pandas"),
+                     ["center", "context"], ["n"], 32).to_pandas()
     agg["n"] = agg["n"].astype("int64")
     out = (agg.sort_values(["n", "center", "context"],
                            ascending=[False, True, True],
@@ -775,15 +711,7 @@ def q_sessionize(sf_dir: str):
     """Gap-based sessionization (streaming-shaped op): per-user sessions
     split on >30min inactivity; bucketed per-key ordered pass (same shuffle
     pattern as the version-lag stage), vectorized cumsum inside buckets."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["user_id"].astype(str)
-        df = df.copy()
-        df["bucket"] = stable_bucket(key, key, 32)
-        return df
 
     def sessions(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -798,11 +726,9 @@ def q_sessionize(sf_dir: str):
 
     # per-(user, session) output cardinality grows with the corpus: stay
     # distributed end-to-end (Ray sort, no driver to_pandas)
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: sessions(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], sessions, 32, "pandas")
             .sort(["user_id", "session_id"]))
+
 
 
 def q_media_features(sf_dir: str):
@@ -947,9 +873,8 @@ def q_topk_per_group(sf_dir: str):
     # final per-segment top-k runs inside a distributed groupby (k × blocks
     # candidate rows per segment shuffle to that segment's reducer — never
     # to the driver)
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("c_mktsegment")
-            .map_groups(final, batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(tag, batch_format="pandas"),
+                            ["c_mktsegment"], final, 16, "pandas")
             .sort(["c_mktsegment", "rk"]))
 
 
@@ -957,15 +882,7 @@ def q_moving_sum_events(sf_dir: str):
     """Sliding-window aggregate (O/ST-family): per-user 3-row moving sum
     of value cents, ordered by (ts, event_id) — same bucketed per-key
     shuffle as the version-lag stage, vectorized pandas rolling inside."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def roll(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -977,10 +894,7 @@ def q_moving_sum_events(sf_dir: str):
                              "user_id": df["user_id"].to_numpy(),
                              "mv_sum_cents": mv.astype("int64").to_numpy()})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: roll(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], roll, 32, "pandas")
             .sort("event_id"))
 
 
@@ -1042,29 +956,20 @@ def q_distinct_users_per_type(sf_dir: str):
     per-type Sum. The shuffle carries one row per distinct pair per
     batch, never raw events; the pair-cardinality groupby never goes
     through Ray's multi-key aggregate (CLAUDE.md invariant 4)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
     pairs = ds.map_batches(
         lambda df: df.drop_duplicates(["event_type", "user_id"]),
         batch_format="pandas")
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = stable_bucket(df["event_type"].astype(str),
-                                     df["user_id"].astype(str), 64)
-        return df
 
     def count_in_bucket(df: pd.DataFrame) -> pd.DataFrame:
         d = df.drop_duplicates(["event_type", "user_id"])
         return (d.groupby("event_type", sort=False).size()
                 .reset_index(name="n_users"))
 
-    return (pairs.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: count_in_bucket(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(pairs, ["event_type", "user_id"],
+                            count_in_bucket, 64, "pandas")
             .groupby("event_type")
+
             .aggregate(Sum("n_users", alias_name="n_users"))
             .sort("event_type"))
 
@@ -1694,14 +1599,8 @@ def q_scd2_events(sf_dir: str):
     user_id, then a fully vectorized shift-compare inside each bucket
     (no per-user Python loop); the twin is the LAG-change-filter +
     LEAD-interval window pattern."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type"])
-
-    def tag(df: pd.DataFrame) -> pd.DataFrame:
-        k = df["user_id"].astype(str)
-        return df.assign(bucket=stable_bucket(k, k, 32))
 
     def build(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"],
@@ -1719,9 +1618,7 @@ def q_scd2_events(sf_dir: str):
             "valid_to": g["valid_to"].to_numpy(),
             "is_current": (~same_next).to_numpy()})
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(build, batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], build, 32, "pandas")
             .sort(["user_id", "valid_from"]))
 
 
@@ -2056,15 +1953,7 @@ def q_cumsum_events(sf_dir: str):
     shuffle as the lag/moving-sum stages, vectorized groupby cumsum
     inside. SQL twin: SUM() OVER (PARTITION BY … ROWS UNBOUNDED
     PRECEDING)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def cum(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2074,10 +1963,7 @@ def q_cumsum_events(sf_dir: str):
                              "user_id": df["user_id"].to_numpy(),
                              "cum_cents": cs.astype("int64").to_numpy()})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: cum(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], cum, 32, "pandas")
             .sort("event_id"))
 
 
@@ -2089,7 +1975,6 @@ def q_tfidf_top_terms(sf_dir: str):
     colocates); scores are integer millis so the SQL twin hash-matches;
     a second (tiny, pre-combined) shuffle ranks per source."""
     from . import ops
-    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["source", "text"])
     ns = float(ops.distinct_keys(ds, "source").count())
@@ -2102,15 +1987,11 @@ def q_tfidf_top_terms(sf_dir: str):
             "tok": np.concatenate(
                 [np.array(t, dtype=object) for t in toks] or
                 [np.array([], dtype=object)])})
-        g = (flat.groupby(["source", "tok"], sort=False).size()
-             .rename("tf").reset_index())
-        key = g["tok"].astype(str)
-        g["bucket"] = stable_bucket(key, key, 64)
-        return g
+        return (flat.groupby(["source", "tok"], sort=False).size()
+                .rename("tf").reset_index())
 
     def tok_group(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.drop(columns="bucket")
-             .groupby(["source", "tok"], sort=False, as_index=False)["tf"]
+        g = (df.groupby(["source", "tok"], sort=False, as_index=False)["tf"]
              .sum())
         dfreq = g.groupby("tok", sort=False)["tok"].transform("size")
         score = np.floor(g["tf"].to_numpy()
@@ -2134,20 +2015,10 @@ def q_tfidf_top_terms(sf_dir: str):
         return df.loc[df["rank"] <= 3,
                       ["source", "rank", "tok", "tf", "score_millis"]]
 
-    tf_scored = (ds.map_batches(partial_tf, batch_format="pandas")
-                 .groupby("bucket")
-                 .map_groups(tok_group, batch_format="pandas"))
-
-    def rebucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["source"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
-
-    return (tf_scored.map_batches(rebucket, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: top3(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    tf_scored = bucket_exchange(
+        ds.map_batches(partial_tf, batch_format="pandas"), ["tok"],
+        tok_group, 64, "pandas")
+    return (bucket_exchange(tf_scored, ["source"], top3, 32, "pandas")
             .sort(["source", "rank"]))
 
 
@@ -2158,15 +2029,7 @@ def q_rank_events(sf_dir: str):
     ranks computed vectorized in-group. NTILE's row order is pinned to
     (value DESC, event_id) in both engines; RANK/DENSE_RANK tie on equal
     float values exactly like SQL (same parquet doubles, same compares)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def rank_group(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "value", "event_id"],
@@ -2190,11 +2053,9 @@ def q_rank_events(sf_dir: str):
                              "drnk": drnk.astype("int64").to_numpy(),
                              "tile": tile.astype("int64")})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: rank_group(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], rank_group, 32, "pandas")
             .sort("event_id"))
+
 
 
 def q_pivot_events(sf_dir: str):
@@ -2313,17 +2174,14 @@ def q_triangle_count(sf_dir: str):
     emits per-source wedges, and closes them with a bucketed semi-join
     against the edge set."""
     from . import ops
-    from .ops import stable_bucket
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
     def keyed(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "user_id": df["user_id"].astype("int64"),
             "k": df["event_type"].astype(str) + ":"
                  + df["ts"].dt.floor("h").astype(str)}).drop_duplicates()
-        out["bucket"] = stable_bucket(out["k"], out["k"], 64)
-        return out
 
     def cooccur_pairs(df: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -2340,10 +2198,8 @@ def q_triangle_count(sf_dir: str):
         return pd.DataFrame({"s": np.concatenate(out_a),
                              "o": np.concatenate(out_b)})
 
-    edges = (ds.map_batches(keyed, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(lambda df: cooccur_pairs(df.drop(columns="bucket")),
-                         batch_format="pandas"))
+    edges = bucket_exchange(ds.map_batches(keyed, batch_format="pandas"),
+                            ["k"], cooccur_pairs, 64, "pandas")
     n = ops.triangle_count(edges)
     return pd.DataFrame({"n_triangles": pd.Series([n], dtype="int64")})
 
@@ -2353,15 +2209,7 @@ def q_collect_events(sf_dir: str):
     generic query): each user's event ids joined in (ts, event_id) order.
     One bucketed per-key shuffle, vectorized in-group string_agg; the
     comma-joined string keeps the driver value-hash list-free."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def collect(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2373,10 +2221,7 @@ def q_collect_events(sf_dir: str):
                              "events": g.to_numpy(dtype=object),
                              "n_events": n.to_numpy().astype("int64")})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: collect(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], collect, 32, "pandas")
             .sort("user_id"))
 
 
@@ -2391,8 +2236,6 @@ def q_bm25_docs(sf_dir: str):
     with the tiny stats broadcast in the closure; integer-millis scores.
     The float expression tree is written identically in the SQL twin so
     IEEE doubles agree bit-for-bit."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def tok(df: pd.DataFrame):
@@ -2432,10 +2275,7 @@ def q_bm25_docs(sf_dir: str):
         out = out.sort_values(["term", "score_millis", "doc_id"],
                               ascending=[True, False, True],
                               kind="mergesort")
-        out = out[out.groupby("term", sort=False).cumcount() < 5]
-        k = out["term"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 8)
-        return out
+        return out[out.groupby("term", sort=False).cumcount() < 5]
 
     def head5(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["term", "score_millis", "doc_id"],
@@ -2445,10 +2285,8 @@ def q_bm25_docs(sf_dir: str):
             .astype("int64")
         return df[["term", "rank", "doc_id", "score_millis"]]
 
-    return (ds.map_batches(score, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: head5(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(score, batch_format="pandas"),
+                            ["term"], head5, 8, "pandas")
             .sort(["term", "rank"]))
 
 
@@ -2461,25 +2299,18 @@ def q_cust_order_dist(sf_dir: str):
     Invariant 7: the aggregate side is schema-normalized before the
     join."""
     from . import ops
-    from .ops import stable_bucket
 
     cust = _read(sf_dir, "customer", ["c_custkey"])
     orders = _read(sf_dir, "orders", ["o_custkey"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("o_custkey", sort=False).size()
-        out = pd.DataFrame({"c_custkey": g.index.to_numpy(),
-                            "n": g.to_numpy().astype("int64")})
-        k = out["c_custkey"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 32)
-        return out
+        return pd.DataFrame({"c_custkey": g.index.to_numpy(),
+                             "n": g.to_numpy().astype("int64")})
 
-    counts = (orders.map_batches(partial, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(lambda df: df.drop(columns="bucket")
-                          .groupby("c_custkey", sort=False, as_index=False)
-                          ["n"].sum(),
-                          batch_format="pandas"))
+    counts = sum_by_key(orders.map_batches(partial, batch_format="pandas"),
+                        ["c_custkey"], ["n"], 32)
+
     counts = ops.materialize_normalized(counts, pa.schema(
         [("c_custkey", pa.int64()), ("n", pa.int64())]))
     joined = cust.join(counts, "left_outer",
@@ -2691,9 +2522,8 @@ def q_stratified_sample_docs(sf_dir: str):
               .groupby("source", sort=False).head(k))
         return df[["source", "doc_id"]]
 
-    return (ds.map_batches(rank, batch_format="pandas")
-            .groupby("source")
-            .map_groups(final, batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(rank, batch_format="pandas"),
+                            ["source"], final, 16, "pandas")
             .sort(["source", "doc_id"]))
 
 
@@ -2937,15 +2767,7 @@ def q_median_per_type(sf_dir: str):
     engines. event_type is low-cardinality, so ONE bucketed per-key
     shuffle colocates each group; the in-group selection is a vectorized
     sort + index, never a driver-side pass."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_type", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["event_type"]
-        df["bucket"] = stable_bucket(k, k, 16)
-        return df
 
     def med(df: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -2955,10 +2777,7 @@ def q_median_per_type(sf_dir: str):
         return pd.DataFrame(out, columns=["event_type", "median_value",
                                           "n"]).astype({"n": "int64"})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: med(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["event_type"], med, 16, "pandas")
             .sort("event_type"))
 
 
@@ -2968,15 +2787,7 @@ def q_lead_events(sf_dir: str):
     bucketed per-key shuffle; in-group shift/head/tail vectorized. The
     SQL twin pins LAST_VALUE's frame to the whole partition (ROWS
     UNBOUNDED PRECEDING..UNBOUNDED FOLLOWING), matching the engine."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def win(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -2988,10 +2799,7 @@ def q_lead_events(sf_dir: str):
             "first_value": g["value"].transform("first").to_numpy(),
             "last_value": g["value"].transform("last").to_numpy()})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: win(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], win, 32, "pandas")
             .sort("event_id"))
 
 
@@ -3099,15 +2907,13 @@ def q_funnel_events(sf_dir: str):
     users per stage. ONE bucketed per-user shuffle; the stage logic is
     vectorized group mins. Stages with zero users still emit a row, so
     the output shape is stable at every sf."""
-    from .ops import stable_bucket
+    import pyarrow.compute as pc
 
     ds = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["event_type"].isin(["view", "click", "purchase"])].copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
+    def funnel_rows(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t["event_type"], pa.array(
+            ["view", "click", "purchase"])))
 
     def stage_group(df: pd.DataFrame) -> pd.DataFrame:
         users = pd.DataFrame({"user_id": df["user_id"].unique()})
@@ -3131,10 +2937,10 @@ def q_funnel_events(sf_dir: str):
         return pd.DataFrame({"user_id": m["user_id"].astype("int64"),
                              "stage": stage})
 
-    stages = (ds.map_batches(bucketize, batch_format="pandas")
-              .groupby("bucket")
-              .map_groups(lambda df: stage_group(df.drop(columns="bucket")),
-                          batch_format="pandas"))
+    stages = bucket_exchange(
+        ds.map_batches(funnel_rows, batch_format="pyarrow"), ["user_id"],
+        stage_group, 32, "pandas")
+
     counts = (stages.groupby("stage")
               .aggregate(Count(on="stage", alias_name="users"))
               .to_pandas())
@@ -3209,16 +3015,11 @@ def q_mode_per_group(sf_dir: str):
     (user, type) counts shrink the exchange to one row per distinct pair
     per batch; ONE bucketed shuffle on user_id resolves the argmax
     in-group (invariant 4: no multi-key groupby.aggregate)."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (df.groupby(["user_id", "event_type"], sort=False)
-             .size().rename("n").reset_index())
-        k = g["user_id"].astype(str)
-        g["bucket"] = stable_bucket(k, k, 32)
-        return g
+        return (df.groupby(["user_id", "event_type"], sort=False)
+                .size().rename("n").reset_index())
 
     def mode(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["user_id", "event_type"], sort=False,
@@ -3231,10 +3032,8 @@ def q_mode_per_group(sf_dir: str):
             "mode_type": top["event_type"].to_numpy(),
             "mode_n": top["n"].astype("int64").to_numpy()})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: mode(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                            ["user_id"], mode, 32, "pandas")
             .sort("user_id"))
 
 
@@ -3281,8 +3080,6 @@ def q_retention_cohorts(sf_dir: str):
     user_id carries BOTH the per-batch min-ts partials and the per-batch
     distinct (user, month) pairs (tagged union), so the cohort lookup is
     an in-bucket join — no broadcast of a potentially huge user map."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["user_id", "ts"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -3292,7 +3089,7 @@ def q_retention_cohorts(sf_dir: str):
         first = (pairs.assign(ts=df["ts"]).groupby("user_id", sort=False)
                  ["ts"].min().reset_index())
         nat_us = pd.Series(pd.NaT, dtype="datetime64[us]")
-        rows = pd.concat([
+        return pd.concat([
             dis.assign(kind="a",
                        ts=nat_us.reindex(range(len(dis))).to_numpy()),
             pd.DataFrame({"user_id": first["user_id"],
@@ -3300,9 +3097,6 @@ def q_retention_cohorts(sf_dir: str):
                               range(len(first))).to_numpy(),
                           "kind": "f", "ts": first["ts"]})],
             ignore_index=True)
-        k = rows["user_id"].astype(str)
-        rows["bucket"] = stable_bucket(k, k, 32)
-        return rows
 
     def cell(df: pd.DataFrame) -> pd.DataFrame:
         f = df[df["kind"] == "f"].groupby("user_id", sort=False)["ts"].min()
@@ -3318,11 +3112,8 @@ def q_retention_cohorts(sf_dir: str):
                       as_index=False)["n_users"].sum())
         return g
 
-    part = (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: cell(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
-            .to_pandas())
+    part = bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                           ["user_id"], cell, 32, "pandas").to_pandas()
     out = (part.groupby(["cohort_month", "month_offset"], as_index=False)
            ["n_users"].sum())
     out["n_users"] = out["n_users"].astype("int64")
@@ -3383,18 +3174,13 @@ def q_pack_sequences(sf_dir: str, budget: int = 256):
     (searchsorted on the token cumsum), so the group pass is
     O(bins log n). The SQL twin replays the identical walk as a
     recursive CTE."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def counts(df: pd.DataFrame) -> pd.DataFrame:
         t = (df["text"].fillna("").str.lower().str.count(r"[a-z]+")
              .astype("int64").clip(upper=budget))
-        out = pd.DataFrame({"doc_id": df["doc_id"],
-                            "source": df["source"], "t": t})
-        k = out["source"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 32)
-        return out
+        return pd.DataFrame({"doc_id": df["doc_id"],
+                             "source": df["source"], "t": t})
 
     def pack(df: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -3420,11 +3206,10 @@ def q_pack_sequences(sf_dir: str, budget: int = 256):
                               "bin_id": pd.Series([], dtype="int64"),
                               "tok_used": pd.Series([], dtype="int64")}))
 
-    return (ds.map_batches(counts, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: pack(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(counts, batch_format="pandas"),
+                            ["source"], pack, 32, "pandas")
             .sort(["source", "doc_id"]))
+
 
 
 def q_hardneg_mining(sf_dir: str):
@@ -3474,16 +3259,8 @@ def q_event_transitions(sf_dir: str):
     per-key shuffle as the lag family; the pair counting is a
     vectorized in-group shift, then a tiny (|types|^2) partial-combined
     aggregate."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id",
                                   "event_type"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def pairs(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"],
@@ -3495,11 +3272,7 @@ def q_event_transitions(sf_dir: str):
         return (sub.groupby(["prev_type", "next_type"], sort=False)
                 .size().rename("n").reset_index())
 
-    part = (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: pairs(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
-            .to_pandas())
+    part = bucket_exchange(ds, ["user_id"], pairs, 32, "pandas").to_pandas()
     out = (part.groupby(["prev_type", "next_type"], as_index=False)
            ["n"].sum())
     out["n"] = out["n"].astype("int64")
@@ -3636,15 +3409,7 @@ def q_range_window_events(sf_dir: str, minutes: int = 10):
     per-key shuffle; in-group the window bounds come from two
     vectorized searchsorted calls over the sorted timestamps — no
     per-row loop."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["user_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 32)
-        return df
 
     def window(df: pd.DataFrame) -> pd.DataFrame:
         frames = []
@@ -3665,10 +3430,7 @@ def q_range_window_events(sf_dir: str, minutes: int = 10):
                               "user_id": pd.Series([], dtype="int64"),
                               "win_cents": pd.Series([], dtype="int64")}))
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: window(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(ds, ["user_id"], window, 32, "pandas")
             .sort("event_id"))
 
 
@@ -3942,8 +3704,6 @@ def q_dup_span_docs(sf_dir: str):
 def _word_counts_ds(ds):
     """documents text -> distributed (word, cnt) vocabulary (the bucketed
     high-cardinality combine shared by the BPE train/apply queries)."""
-    from .ops import stable_bucket
-
     def wc_partial(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.split().explode().dropna()
         toks = toks[toks != ""]
@@ -3951,21 +3711,8 @@ def _word_counts_ds(ds):
         return pd.DataFrame({"word": g.index.to_numpy(),
                              "cnt": g.to_numpy(dtype=np.int64)})
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = stable_bucket(df["word"], df["word"], 64)
-        return df
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("word", sort=False)["cnt"].sum()
-        return pd.DataFrame({"word": g.index.to_numpy(),
-                             "cnt": g.to_numpy(dtype=np.int64)})
-
-    return (ds.map_batches(wc_partial, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: combine(df.drop(columns=["bucket"])),
-                        batch_format="pandas"))
+    return sum_by_key(ds.map_batches(wc_partial, batch_format="pandas"),
+                      ["word"], ["cnt"])
 
 
 def q_bpe_tokenize_docs(sf_dir: str):
@@ -3978,7 +3725,6 @@ def q_bpe_tokenize_docs(sf_dir: str):
     import pyarrow as pa
 
     from . import ops
-    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
     _, vocab = textops.bpe_train(_word_counts_ds(ds), n_merges=4,
@@ -4008,12 +3754,6 @@ def q_bpe_tokenize_docs(sf_dir: str):
               .join(vocab_tok, "inner", ops._default_partitions(),
                     on=("tok",)))
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["doc_id"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 64)
-        return df
-
     def per_doc(df: pd.DataFrame) -> pd.DataFrame:
         tot = (df["n"].to_numpy() * df["ntok"].to_numpy())
         g = pd.Series(tot, index=df.index).groupby(df["doc_id"],
@@ -4021,11 +3761,9 @@ def q_bpe_tokenize_docs(sf_dir: str):
         return pd.DataFrame({"doc_id": g.index.to_numpy(),
                              "n_bpe_tokens": g.to_numpy(dtype=np.int64)})
 
-    return (joined.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: per_doc(df.drop(columns=["bucket"])),
-                        batch_format="pandas")
+    return (bucket_exchange(joined, ["doc_id"], per_doc, 64, "pandas")
             .sort("doc_id"))
+
 
 
 LINK_ANCHOR_RE = r'href="https://site(\d+)\.example'
@@ -4284,8 +4022,6 @@ def q_validate_events(sf_dir: str):
     shuffle where each bucket sums the group sizes >1 — one int per
     bucket returns. At 100 TB nothing but rule partials crosses the
     wire."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events",
                ["event_id", "ts", "user_id", "event_type", "value",
                 "props"])
@@ -4308,22 +4044,17 @@ def q_validate_events(sf_dir: str):
     # final sum of sizes>1 (vectorized; high-cardinality-safe)
     def dup_partial(df: pd.DataFrame) -> pd.DataFrame:
         m = df["ts"].dt.floor("min")
-        g = (pd.DataFrame({"user_id": df["user_id"], "m": m, "c": 1})
-             .groupby(["user_id", "m"], sort=False, as_index=False)
-             .sum())
-        key = g["user_id"].astype(str) + "|" + g["m"].astype(str)
-        g["bucket"] = stable_bucket(key, key, 32)
-        return g
+        return (pd.DataFrame({"user_id": df["user_id"], "m": m, "c": 1})
+                .groupby(["user_id", "m"], sort=False, as_index=False)
+                .sum())
 
     def dup_fold(df: pd.DataFrame) -> pd.DataFrame:
         sz = df.groupby(["user_id", "m"], sort=False)["c"].sum()
         return pd.DataFrame({"v": [int(sz[sz > 1].sum())]})
 
-    dup = (ds.map_batches(dup_partial, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: dup_fold(df.drop(columns=["bucket"])),
-                       batch_format="pandas")
-           .to_pandas()["v"].sum())
+    dup = bucket_exchange(ds.map_batches(dup_partial, batch_format="pandas"),
+                          ["user_id"], dup_fold, 32,
+                          "pandas").to_pandas()["v"].sum()
 
     rules = {"dup_user_minute": int(dup),
              "props_k_zero": int(flat["props_k_zero"]),
@@ -4381,8 +4112,6 @@ def q_table_diff_events(sf_dir: str):
     changed / unchanged vectorized and returns per-status partials
     (count + id checksum), so the diff report is O(statuses), never the
     table."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "value"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
@@ -4393,10 +4122,7 @@ def q_table_diff_events(sf_dir: str):
         newc = cents + (eid % 7 == 0).astype("int64") * 100
         new = pd.DataFrame({"event_id": eid, "cents": newc,
                             "side": "new"})[(eid % 5 != 0).to_numpy()]
-        both = pd.concat([old, new], ignore_index=True)
-        k = both["event_id"].astype(str)
-        both["bucket"] = stable_bucket(k, k, 32)
-        return both
+        return pd.concat([old, new], ignore_index=True)
 
     def classify(df: pd.DataFrame) -> pd.DataFrame:
         p = df.pivot_table(index="event_id", columns="side",
@@ -4414,11 +4140,9 @@ def q_table_diff_events(sf_dir: str):
                           "id_sum": p.index.to_numpy(dtype="int64")})
         return g.groupby("status", sort=False, as_index=False).sum()
 
-    parts = (ds.map_batches(tag, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(lambda df: classify(df.drop(columns=["bucket"])),
-                         batch_format="pandas")
-             .to_pandas())
+    parts = bucket_exchange(ds.map_batches(tag, batch_format="pandas"),
+                            ["event_id"], classify, 32,
+                            "pandas").to_pandas()
     out = parts.groupby("status", as_index=False).sum()
     out["n"] = out["n"].astype("int64")
     out["id_sum"] = out["id_sum"].astype("int64")
@@ -4558,14 +4282,14 @@ def q_porter_stem_docs(sf_dir: str):
         out.insert(0, "stem", textops.porter_stem(out["token"]).to_numpy())
         return out
 
-    def per_stem(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "stem": [g["stem"].iloc[0]],
-            "n_forms": np.asarray([g["token"].nunique()], dtype="int64"),
-            "n_tokens": np.asarray([int(g["cnt"].sum())], dtype="int64")})
+    def per_stem(df: pd.DataFrame) -> pd.DataFrame:
+        g = df.groupby("stem", sort=False).agg(
+            n_forms=("token", "nunique"), n_tokens=("cnt", "sum"))
+        return g.reset_index().astype({"n_forms": "int64",
+                                       "n_tokens": "int64"})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("stem").map_groups(per_stem, batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                            ["stem"], per_stem, 16, "pandas")
             .sort("stem"))
 
 
@@ -4585,23 +4309,10 @@ def q_copurchase_pairs(sf_dir: str, min_item_support: int = 2,
     second bucketed exchange. The item prefilter cannot change the
     result (pair support <= item support), so the SQL twin states the
     pair rule directly."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({"o": df["l_orderkey"].to_numpy(),
-                            "p": df["l_partkey"].to_numpy()})
-        k = out["o"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 64)
-        return out
-
-    def baskets(df: pd.DataFrame) -> pd.DataFrame:
-        return df.drop_duplicates(["o", "p"])
-
-    b = (ds.map_batches(bucketize, batch_format="pandas")
-         .groupby("bucket").map_groups(baskets, batch_format="pandas")
-         .materialize())  # consumed twice (invariant 10)
+    b = distinct_rows(ds.rename_columns({"l_orderkey": "o",
+                                         "l_partkey": "p"}), ["o", "p"])
+    b = b.materialize()  # consumed twice (invariant 10)
 
     # A-Priori stage 1: frequent items (tiny; |parts| rows max)
     isup = (b.map_batches(
@@ -4619,15 +4330,7 @@ def q_copurchase_pairs(sf_dir: str, min_item_support: int = 2,
                .rename(columns={"p_x": "a", "p_y": "b"}))
         return out
 
-    part = b.groupby("bucket").map_groups(
-        lambda df: pairs(df.drop(columns=["bucket"])),
-        batch_format="pandas")
-
-    def pair_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        k = df["a"].astype(str) + "_" + df["b"].astype(str)
-        df["pb"] = stable_bucket(k, k, 64)
-        return df
+    part = bucket_exchange(b, ["o"], pairs, 64, "pandas")
 
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["a", "b"], as_index=False)["n"].sum()
@@ -4636,11 +4339,9 @@ def q_copurchase_pairs(sf_dir: str, min_item_support: int = 2,
         g["support"] = g["support"].astype("int64")
         return g
 
-    return (part.map_batches(pair_bucket, batch_format="pandas")
-            .groupby("pb").map_groups(
-                lambda df: combine(df.drop(columns=["pb"])),
-                batch_format="pandas")
+    return (bucket_exchange(part, ["a", "b"], combine, 64, "pandas")
             .sort(["a", "b"]))
+
 
 
 def q_pmi_bigrams(sf_dir: str):
@@ -4705,16 +4406,7 @@ def q_bleu_pairs(sf_dir: str):
     Scale shape: one bucketed shuffle on pair_id co-locates each pair;
     n-gram counting is per-pair local (the inherent O(tokens) work) and
     emits 11 ints per pair — no second exchange."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["pid"] = df["doc_id"] // 2
-        k = df["pid"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 64)
-        return df
 
     def pair_stats(df: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -4748,11 +4440,16 @@ def q_bleu_pairs(sf_dir: str):
         out = pd.DataFrame(rows, columns=cols)
         return out.astype("int64")
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket").map_groups(
-                lambda df: pair_stats(df.drop(columns=["bucket"])),
-                batch_format="pandas")
+    return (bucket_exchange(_with_pair_id(ds), ["pid"], pair_stats, 64,
+                            "pandas")
             .sort("pair_id"))
+
+
+def _with_pair_id(ds):
+    """documents + ``pid = doc_id // 2``: the (even, odd) document
+    pairing of the BLEU and ROUGE-L queries."""
+    return ds.map_batches(lambda df: df.assign(pid=df["doc_id"] // 2),
+                          batch_format="pandas")
 
 
 def q_interval_coverage_events(sf_dir: str):
@@ -4766,18 +4463,13 @@ def q_interval_coverage_events(sf_dir: str):
     Scale shape: one bucketed shuffle on user_id, then a fully
     vectorized in-bucket island pass (sort + per-user shifted running
     max — no Python loop); 2 ints per user leave the bucket."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["ts", "user_id", "value"])
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
+    def spans(df: pd.DataFrame) -> pd.DataFrame:
         s = df["ts"].astype("datetime64[us]").astype("int64")
         dur = (np.abs(_cents(df["value"]).to_numpy()) % 300 + 1) * 1_000_000
-        out = pd.DataFrame({"user_id": df["user_id"].to_numpy(),
-                            "s": s, "e": s + dur})
-        k = out["user_id"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 64)
-        return out
+        return pd.DataFrame({"user_id": df["user_id"].to_numpy(),
+                             "s": s, "e": s + dur})
 
     def islands(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "s", "e"], kind="mergesort")
@@ -4799,10 +4491,8 @@ def q_interval_coverage_events(sf_dir: str):
             n_islands=("isl", "size"), covered_us=("cov", "sum"))
         return out.astype({"n_islands": "int64", "covered_us": "int64"})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket").map_groups(
-                lambda df: islands(df.drop(columns=["bucket"])),
-                batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(spans, batch_format="pandas"),
+                            ["user_id"], islands, 64, "pandas")
             .sort("user_id"))
 
 
@@ -4817,19 +4507,14 @@ def q_ewma_events(sf_dir: str):
     sequential recurrence is STEP-vectorized — one numpy update over
     ALL users per timeline position (O(max_seq_len) kernel launches,
     no per-row Python), the same trick a GPU scan would use."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+    def magnitudes(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
             "user_id": df["user_id"].to_numpy(),
             "ts": df["ts"].to_numpy(),
             "event_id": df["event_id"].to_numpy(),
             "c": np.abs(_cents(df["value"]).to_numpy())})
-        k = out["user_id"].astype(str)
-        out["bucket"] = stable_bucket(k, k, 64)
-        return out
 
     def ewma(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "ts", "event_id"],
@@ -4851,10 +4536,8 @@ def q_ewma_events(sf_dir: str):
             "n": counts.astype("int64"),
             "ewma_final": state})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket").map_groups(
-                lambda df: ewma(df.drop(columns=["bucket"])),
-                batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(magnitudes, batch_format="pandas"),
+                            ["user_id"], ewma, 64, "pandas")
             .sort("user_id"))
 
 
@@ -4877,16 +4560,7 @@ def q_rouge_l_pairs(sf_dir: str, cap: int = ROUGE_CAP):
     dp[i][j] = max(dp[i-1][j], max_{j'≤j, a_i=b_j'} dp[i-1][j'-1]+1),
     which makes each DP row ONE window function over the previous
     row's CTE — cap chained CTEs, all integer."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["pid"] = df["doc_id"] // 2
-        k = df["pid"].astype(str)
-        df["bucket"] = stable_bucket(k, k, 64)
-        return df
 
     def pair_lcs(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.lower().str.findall(r"[a-z]+")
@@ -4928,11 +4602,10 @@ def q_rouge_l_pairs(sf_dir: str, cap: int = ROUGE_CAP):
             "len_r": np.asarray([len(r) for r in refs], dtype="int64"),
             "lcs": dp[:, cap]})
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket").map_groups(
-                lambda df: pair_lcs(df.drop(columns=["bucket"])),
-                batch_format="pandas")
+    return (bucket_exchange(_with_pair_id(ds), ["pid"], pair_lcs, 64,
+                            "pandas")
             .sort("pair_id"))
+
 
 
 def q_image_dhash_pairs(sf_dir: str):
@@ -5180,17 +4853,12 @@ def q_gini_user_diversity(sf_dir: str):
     EXACT in integer micro-units: gini_micro = 10⁶ - Σn_i²·10⁶ // N².
     Per-batch partial (user, type) counts, one bucketed combine, the
     impurity fold in-group — entropy would need floats; Gini doesn't."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["user_id", "event_type"], as_index=False)
              .size().rename(columns={"size": "n"}))
-        g["n"] = g["n"].astype("int64")
-        k = g["user_id"].astype(str)
-        g["bucket"] = stable_bucket(k, k, 64)
-        return g
+        return g.astype({"n": "int64"})
 
     def fold(df: pd.DataFrame) -> pd.DataFrame:
         g = (df.groupby(["user_id", "event_type"], as_index=False)["n"]
@@ -5207,10 +4875,8 @@ def q_gini_user_diversity(sf_dir: str):
             .astype({"user_id": "int64", "n_events": "int64",
                      "n_types": "int64", "gini_micro": "int64"})
 
-    return (ds.map_batches(partial, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: fold(df.drop(columns="bucket")),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                            ["user_id"], fold, 64, "pandas")
             .sort("user_id"))
 
 
@@ -5531,20 +5197,15 @@ def q_debounce_events(sf_dir: str):
     FIRSTs survive, with the burst length attached. One bucketed
     shuffle, vectorized diff inside the group; twin = LAG gap → running
     burst ids (SUM OVER of gap flags) → ROW_NUMBER."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "event_type",
                                   "ts"])
 
     def tag(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "event_id": df["event_id"].astype("int64"),
             "user_id": df["user_id"].astype("int64"),
             "event_type": df["event_type"].astype(str),
             "ts_us": df["ts"].astype("int64")})
-        k = out["user_id"].astype(str) + ":" + out["event_type"]
-        out["bucket"] = stable_bucket(k, k, 64)
-        return out
 
     def debounce(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["user_id", "event_type", "ts_us",
@@ -5560,10 +5221,9 @@ def q_debounce_events(sf_dir: str):
         return keep[["event_id", "user_id", "event_type",
                      "burst_len"]]
 
-    return (ds.map_batches(tag, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: debounce(df.drop(columns="bucket")),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(tag, batch_format="pandas"),
+                            ["user_id", "event_type"], debounce, 64,
+                            "pandas")
             .sort("event_id"))
 
 
@@ -5617,20 +5277,16 @@ def q_cusum_events(sf_dir: str):
     in the twin) instead of a sequential loop. Alarm where H_t > 2*T.
     Hourly counts come from per-batch partial pre-agg + ONE bucketed
     shuffle; the per-type series scan is vectorized in-group."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (pd.DataFrame({
+        return (pd.DataFrame({
             "event_type": df["event_type"].astype(str),
             "hour_id": (df["ts"].astype("int64")
                         // 3_600_000_000).astype("int64"),
             "c": np.int64(1)})
             .groupby(["event_type", "hour_id"], sort=False,
                      as_index=False)["c"].sum())
-        g["bucket"] = stable_bucket(g["event_type"], g["event_type"], 32)
-        return g
 
     def cusum(df: pd.DataFrame) -> pd.DataFrame:
         hc = df.groupby(["event_type", "hour_id"], sort=False,
@@ -5651,10 +5307,8 @@ def q_cusum_events(sf_dir: str):
             "event_type", "n_hours", "total_events", "n_alarms",
             "first_alarm_hour"])
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: cusum(df.drop(columns="bucket")),
-                       batch_format="pandas")).to_pandas()
+    out = bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                          ["event_type"], cusum, 32, "pandas").to_pandas()
     out = out.sort_values("event_type").reset_index(drop=True)
     return out.astype({"n_hours": "int64", "total_events": "int64",
                        "n_alarms": "int64", "first_alarm_hour": "int64"})
@@ -5671,8 +5325,6 @@ def q_fd_mine_events(sf_dir: str):
     tiny (6 x 64 rows) driver combine. Epoch floor-division hour/day
     ids make hour_id->day_id and day_id->month_id hold by construction
     — the miner must PROVE it, not assume it."""
-    from .ops import stable_bucket
-
     FDS = [("hour_id", "day_id"), ("day_id", "month_id"),
            ("day_id", "hour_id"), ("event_type", "day_id"),
            ("user_id", "event_type"), ("hour_id", "event_type")]
@@ -5691,10 +5343,7 @@ def q_fd_mine_events(sf_dir: str):
         parts = [pd.DataFrame({"fd": f"{lhs}->{rhs}", "x": cols[lhs],
                                "y": cols[rhs]}).drop_duplicates()
                  for lhs, rhs in FDS]
-        out = pd.concat(parts, ignore_index=True)
-        k = out["fd"] + "|" + out["x"]
-        out["bucket"] = stable_bucket(k, k, 64)
-        return out
+        return pd.concat(parts, ignore_index=True)
 
     def reduce(df: pd.DataFrame) -> pd.DataFrame:
         d = df[["fd", "x", "y"]].drop_duplicates()
@@ -5705,10 +5354,9 @@ def q_fd_mine_events(sf_dir: str):
                 .groupby("fd", sort=False, as_index=False)
                 .agg(n_groups=("one", "sum"), n_violations=("viol", "sum")))
 
-    p = (ds.map_batches(derive, batch_format="pandas")
-         .groupby("bucket")
-         .map_groups(lambda df: reduce(df.drop(columns="bucket")),
-                     batch_format="pandas")).to_pandas()
+    p = bucket_exchange(ds.map_batches(derive, batch_format="pandas"),
+                        ["fd", "x"], reduce, 64, "pandas").to_pandas()
+
     g = (p.groupby("fd", as_index=False)[["n_groups", "n_violations"]]
          .sum().sort_values("fd").reset_index(drop=True))
     g["holds"] = (g["n_violations"] == 0).astype("int64")
@@ -5901,20 +5549,16 @@ def q_theil_sen_events(sf_dir: str):
     bucketed pre-agg shuffle; the O(n²) pair walk runs vectorized on
     the per-type AGGREGATED series (bounded by wall-clock hours, ≤720
     here), never on raw rows."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "events", ["ts", "event_type"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = (pd.DataFrame({
+        return (pd.DataFrame({
             "event_type": df["event_type"].astype(str),
             "h": (df["ts"].astype("int64")
                   // 3_600_000_000).astype("int64"),
             "c": np.int64(1)})
             .groupby(["event_type", "h"], sort=False,
                      as_index=False)["c"].sum())
-        g["bucket"] = stable_bucket(g["event_type"], g["event_type"], 32)
-        return g
 
     def theil(df: pd.DataFrame) -> pd.DataFrame:
         hc = df.groupby(["event_type", "h"], sort=False,
@@ -5934,10 +5578,8 @@ def q_theil_sen_events(sf_dir: str):
         return pd.DataFrame(rows, columns=["event_type", "n_pairs",
                                            "median_slope_key"])
 
-    out = (ds.map_batches(partial, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: theil(df.drop(columns="bucket")),
-                       batch_format="pandas")).to_pandas()
+    out = bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                          ["event_type"], theil, 32, "pandas").to_pandas()
     out = out.sort_values("event_type").reset_index(drop=True)
     return out.astype({"n_pairs": "int64", "median_slope_key": "int64"})
 
@@ -5953,20 +5595,16 @@ def q_rank_fusion_docs(sf_dir: str):
     bit-reproducible."""
     import hashlib as _h
 
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "documents", ["doc_id", "lang", "text",
                                      "n_chars"])
 
     def prep(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             "lang": df["lang"].astype(str),
             "doc_id": df["doc_id"].astype("int64"),
             "n_chars": df["n_chars"].astype("int64"),
             "h": [_h.md5(t.encode("utf-8")).hexdigest()
                   for t in df["text"].astype(str)]})
-        out["bucket"] = stable_bucket(out["lang"], out["lang"], 16)
-        return out
 
     def fuse(df: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -5986,10 +5624,8 @@ def q_rank_fusion_docs(sf_dir: str):
                 rows.append((lang, int(g["doc_id"][i]), int(borda[i])))
         return pd.DataFrame(rows, columns=["lang", "doc_id", "borda"])
 
-    out = (ds.map_batches(prep, batch_format="pandas")
-           .groupby("bucket")
-           .map_groups(lambda df: fuse(df.drop(columns="bucket")),
-                       batch_format="pandas")).to_pandas()
+    out = bucket_exchange(ds.map_batches(prep, batch_format="pandas"),
+                          ["lang"], fuse, 16, "pandas").to_pandas()
     out = (out.sort_values(["lang", "borda", "doc_id"])
            .reset_index(drop=True))
     return out.astype({"doc_id": "int64", "borda": "int64"})
@@ -6525,7 +6161,6 @@ def q_bigram_coverage_docs(sf_dir: str):
     import hashlib
 
     from .ops import semi_join
-    from .ops import stable_bucket
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
 
@@ -6567,21 +6202,15 @@ def q_bigram_coverage_docs(sf_dir: str):
          .union(hit.map_batches(lambda df: count_part(df, "c"),
                                 batch_format="pandas")))
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["doc_id"].astype(str)
-        return df.assign(bucket=stable_bucket(key, key, 64))
-
     def combine(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("doc_id", as_index=False)[["n", "c"]].sum()
         g["covered_milli"] = (g["c"] * 2000 + g["n"]) // (2 * g["n"])
         return (g.rename(columns={"n": "n_bigrams", "c": "n_covered"})
                 .astype("int64"))
 
-    return (u.map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: combine(df.drop(columns="bucket")),
-                        batch_format="pandas")
+    return (bucket_exchange(u, ["doc_id"], combine, 64, "pandas")
             .sort("doc_id"))
+
 
 
 def q_xlsx_roundtrip_events(sf_dir: str):
@@ -6610,20 +6239,23 @@ def q_xlsx_roundtrip_events(sf_dir: str):
         back = sources.read_table(out_dir, fmt="xlsx",
                                   columns=["ts", "event_type", "user_id",
                                            "value"])
-        g = (back.map_batches(partial, batch_format="pandas")
-             .groupby("event_type")
-             .map_groups(lambda df: pd.DataFrame({
-                 "event_type": [df["event_type"].iloc[0]],
-                 "n_events": [np.int64(len(df))],
-                 "sum_value_cents": [np.int64(df["cents"].sum())],
-                 "n_users": [np.int64(df["user_id"].nunique())],
-                 "n_days": [np.int64(df["day"].nunique())]}),
-                 batch_format="pandas"))
-        out = g.to_pandas()
+        out = bucket_exchange(back.map_batches(partial, batch_format="pandas"),
+                              ["event_type"], _roundtrip_rollup, 16,
+                              "pandas").to_pandas()
     return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",
                      "n_users": "int64", "n_days": "int64"}))
+
+
+def _roundtrip_rollup(df: pd.DataFrame) -> pd.DataFrame:
+    """Per event_type: events, value cents, distinct users and days — the
+    aggregate the XLSX and Avro round-trip queries check."""
+    g = df.groupby("event_type", sort=False)
+    return pd.DataFrame({"n_events": g.size(),
+                         "sum_value_cents": g["cents"].sum(),
+                         "n_users": g["user_id"].nunique(),
+                         "n_days": g["day"].nunique()}).reset_index()
 
 
 def q_avro_roundtrip_events(sf_dir: str):
@@ -6655,16 +6287,9 @@ def q_avro_roundtrip_events(sf_dir: str):
         back = sources.read_table(out_dir, fmt="avro",
                                   columns=["ts", "event_type", "user_id",
                                            "value"])
-        g = (back.map_batches(partial, batch_format="pandas")
-             .groupby("event_type")
-             .map_groups(lambda df: pd.DataFrame({
-                 "event_type": [df["event_type"].iloc[0]],
-                 "n_events": [np.int64(len(df))],
-                 "sum_value_cents": [np.int64(df["cents"].sum())],
-                 "n_users": [np.int64(df["user_id"].nunique())],
-                 "n_days": [np.int64(df["day"].nunique())]}),
-                 batch_format="pandas"))
-        out = g.to_pandas()
+        out = bucket_exchange(back.map_batches(partial, batch_format="pandas"),
+                              ["event_type"], _roundtrip_rollup, 16,
+                              "pandas").to_pandas()
     return (out.sort_values("event_type")
             .reset_index(drop=True)
             .astype({"n_events": "int64", "sum_value_cents": "int64",
@@ -6832,14 +6457,8 @@ def q_record_linkage_customers(sf_dir: str):
     check digits), pairs scoring ≥ 45 reported, top 20 by (weight desc,
     a, b). One bucketed exchange on the blocking key; within-block
     scoring is vectorized; pair rows never leave their block."""
-    from .ops import stable_bucket
-
     ds = _read(sf_dir, "customer",
                ["c_custkey", "c_nationkey", "c_acctbal", "c_mktsegment"])
-
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["c_nationkey"].astype(str)
-        return df.assign(bucket=stable_bucket(key, key, 32))
 
     def score_block(df: pd.DataFrame) -> pd.DataFrame:
         out = []
@@ -6865,10 +6484,8 @@ def q_record_linkage_customers(sf_dir: str):
                 "cust_b": pd.Series([], dtype="int64"),
                 "weight": pd.Series([], dtype="int64")})
 
-    pairs = (ds.map_batches(bucketize, batch_format="pandas")
-             .groupby("bucket")
-             .map_groups(lambda df: score_block(df.drop(columns="bucket")),
-                         batch_format="pandas")).to_pandas()
+    pairs = bucket_exchange(ds, ["c_nationkey"], score_block, 32,
+                            "pandas").to_pandas()
     return (pairs.sort_values(["weight", "cust_a", "cust_b"],
                               ascending=[False, True, True])
             .head(20).reset_index(drop=True))
@@ -6882,8 +6499,6 @@ def q_group_sample_docs(sf_dir: str):
     head runs inside the group — no global sort, no driver state."""
     import hashlib
 
-    from .ops import stable_bucket
-
     K = 3
     ds = _read(sf_dir, "documents", ["doc_id", "source"])
 
@@ -6894,10 +6509,6 @@ def q_group_sample_docs(sf_dir: str):
                              "source": df["source"],
                              "pri": pd.Series(h, dtype=object)})
 
-    def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-        key = df["source"].astype(str)
-        return df.assign(bucket=stable_bucket(key, key, 32))
-
     def head_k(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(["source", "pri", "doc_id"],
                             kind="mergesort")
@@ -6907,12 +6518,10 @@ def q_group_sample_docs(sf_dir: str):
         return out[["source", "pick_rank", "doc_id"]].astype(
             {"doc_id": "int64", "pick_rank": "int64"})
 
-    return (ds.map_batches(pri, batch_format="pandas")
-            .map_batches(bucketize, batch_format="pandas")
-            .groupby("bucket")
-            .map_groups(lambda df: head_k(df.drop(columns="bucket")),
-                        batch_format="pandas")
+    return (bucket_exchange(ds.map_batches(pri, batch_format="pandas"),
+                            ["source"], head_k, 32, "pandas")
             .sort(["source", "pick_rank"]))
+
 
 
 QUERIES = {

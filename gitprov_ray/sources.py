@@ -20,8 +20,7 @@ import pyarrow as pa
 _EXT_FMT = {".parquet": "parquet", ".pq": "parquet", ".csv": "csv",
             ".json": "ndjson", ".jsonl": "ndjson", ".ndjson": "ndjson",
             ".feather": "feather", ".arrow": "feather", ".ipc": "feather",
-            ".orc": "orc", ".avro": "avro", ".xml": "xml",
-            ".pb": "pb", ".binpb": "pb", ".xlsx": "xlsx",
+            ".orc": "orc", ".avro": "avro", ".xml": "xml", ".xlsx": "xlsx",
             ".db": "sqlite", ".sqlite": "sqlite", ".sqlite3": "sqlite"}
 
 
@@ -135,8 +134,7 @@ def _xml_records(blob: bytes, record_tag: str) -> list:
 def read_table(path, fmt: str | None = None, columns: list[str] | None = None,
                schema: pa.Schema | None = None, record_tag: str | None = None,
                sqlite_table: str | None = None,
-               sqlite_rows_per_task: int = 100_000,
-               pb_schema: dict | None = None):
+               sqlite_rows_per_task: int = 100_000):
     """path → ray.data.Dataset, dispatching parquet/CSV/NDJSON by
     extension. ``columns`` prunes at the read for Parquet (row groups
     never leave storage) and right after the parse for CSV/NDJSON (their
@@ -199,30 +197,6 @@ def read_table(path, fmt: str | None = None, columns: list[str] | None = None,
             return pa.concat_tables(parts, promote_options="default")
 
         ds = bin_ds.map_batches(decode_avro, batch_format="pyarrow",
-                                batch_size=1)
-    elif f == "pb":
-        # length-delimited protobuf records (pbcodec — the engine's own
-        # wire-format reader), block-parallel by file; pb_schema is the
-        # {field_no: (name, kind)} dict a .proto compiler would emit
-        if pb_schema is None:
-            raise ValueError("fmt='pb' requires pb_schema= "
-                             "({field_no: (name, kind)})")
-        bin_ds = rd.read_binary_files(path, file_extensions=None)
-
-        def decode_pb(t: pa.Table, sch=pb_schema, gz=gz) -> pa.Table:
-            import gzip
-
-            from . import pbcodec
-
-            parts = []
-            for blob in t.column("bytes").to_pylist():
-                if gz:
-                    blob = gzip.decompress(blob)
-                parts.append(pa.Table.from_pylist(
-                    pbcodec.read_delimited(blob, sch)))
-            return pa.concat_tables(parts, promote_options="default")
-
-        ds = bin_ds.map_batches(decode_pb, batch_format="pyarrow",
                                 batch_size=1)
     elif f == "xlsx":
         # spreadsheet interchange (xlsxcodec — the engine's own ECMA-376
@@ -345,8 +319,7 @@ def read_table(path, fmt: str | None = None, columns: list[str] | None = None,
 
 
 def write_table(ds, path: str, fmt: str = "parquet",
-                sqlite_table: str = "data",
-                pb_schema: dict | None = None):
+                sqlite_table: str = "data"):
     """Dataset → partitioned files at ``path`` (one file per block — the
     resumable-output layout; parquet is zstd-compressed)."""
     if fmt == "parquet":
@@ -373,20 +346,8 @@ def write_table(ds, path: str, fmt: str = "parquet",
                                                   batch_size=None)):
             with open(f"{path}/part-{i:05d}.avro", "wb") as fh:
                 fh.write(avrocodec.table_to_avro(batch))
-    elif fmt == "pb":
-        import os
-
-        from . import pbcodec
-
-        if pb_schema is None:
-            raise ValueError("fmt='pb' requires pb_schema=")
-        os.makedirs(path, exist_ok=True)
-        for i, batch in enumerate(ds.iter_batches(batch_format="pyarrow",
-                                                  batch_size=None)):
-            with open(f"{path}/part-{i:05d}.binpb", "wb") as fh:
-                fh.write(pbcodec.write_delimited(batch.to_pylist(),
-                                                 pb_schema))
     elif fmt == "xlsx":
+
         import os
 
         from . import xlsxcodec

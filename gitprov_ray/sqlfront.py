@@ -13,8 +13,9 @@ Supported surface (documented subset, hard errors beyond it):
     CASE WHEN, scalar functions (LENGTH/LOWER/UPPER/ABS/ROUND
     half-away/SUBSTR/COALESCE);
   * aggregates COUNT(*) / COUNT(col) / COUNT(DISTINCT expr) —
-    exact, distributed as pickled per-group distinct-set partials
-    through the one bucketed exchange — / SUM / MIN / MAX / AVG, plain or
+    exact: the partial groups on the GROUP BY keys plus each distinct
+    argument, and the combine counts the argument's distinct non-NULL
+    values per group — / SUM / MIN / MAX / AVG, plain or
     per GROUP BY keys, with HAVING (aggregates compose inside
     expressions and functions);
   * WHERE with AND/OR/NOT, comparisons, arithmetic (+ - * / %),
@@ -646,26 +647,6 @@ def _agg_key(a):
     return f"{a[1]}:{a[2]!r}"
 
 
-def _pickle_distinct(series: pd.Series):
-    """Per-group partial of COUNT(DISTINCT x): NULLs dropped per SQL,
-    distinct values as a deterministic pickled sorted tuple."""
-    import pickle
-
-    vals = {v for v in series if not pd.isna(v)}
-    return pickle.dumps(tuple(sorted(vals, key=repr)))
-
-
-def _merge_distinct(series: pd.Series):
-    """Combine step: union the partials' pickled value sets."""
-    import pickle
-
-    acc: set = set()
-    for b in series:
-        if isinstance(b, (bytes, bytearray)):
-            acc.update(pickle.loads(b))
-    return pickle.dumps(tuple(sorted(acc, key=repr)))
-
-
 def _subst_aggs(e, vals: dict):
     """Replace agg nodes with computed column refs for HAVING / SELECT
     expressions over aggregates."""
@@ -1055,7 +1036,7 @@ def _subst_expr(e, mapping: dict):
 
 
 def _run_select(q: dict, tables: dict):
-    from .ops import stable_bucket
+    from .ops import bucket_exchange
 
     ds, q = _build_dataset(q, tables)
 
@@ -1158,9 +1139,22 @@ def _run_select(q: dict, tables: dict):
                         pa.types.is_large_string(t)
             return False
 
+        gcols = group or ["__g"]
+        agg_of = {names[k]: a for k, a in agg_map.items()}
+
+        def how_of(c: str) -> str:
+            """The reduce of a partial column, in partial and combine;
+            COUNT(DISTINCT)'s ``nunique`` drops NULLs, as SQL does."""
+            if c.endswith("__c"):
+                return "sum"
+            if c.endswith("__d"):
+                return "nunique"
+            return {"sum": "sum", "avg": "sum", "min": "min",
+                    "max": "max"}[agg_of[c[:-3]][1]]
+
         def _empty_partial() -> pd.DataFrame:
             cols = {}
-            for g in (group or ["__g"]):
+            for g in gcols:
                 cols[g] = pd.Series([], dtype="object") \
                     if g != "__g" else pd.Series([], dtype="int64")
             for k, a in agg_map.items():
@@ -1204,11 +1198,9 @@ def _run_select(q: dict, tables: dict):
                         out[col + "__c"] = pd.Series(
                             v, index=df.index).notna().astype("int64")
                 elif fn == "countd":
-                    # COUNT(DISTINCT x): the partial carries each
-                    # group's distinct-value SET as a pickled sorted
-                    # tuple in a bytes cell (Arrow-safe through the
-                    # bucketed exchange; sets/lists in object cells
-                    # break the pandas→Arrow block conversion)
+                    # COUNT(DISTINCT x): x joins the partial's group
+                    # keys, so one row per distinct value per group
+                    # crosses the exchange
                     out[col + "__d"] = pd.Series(
                         _ev(arg, df), index=df.index)
                 else:
@@ -1218,65 +1210,23 @@ def _run_select(q: dict, tables: dict):
                         out[col + "__c"] = np.int64(1)
             if not group:
                 out["__g"] = np.int64(0)
-            gcols = group or ["__g"]
-            how = {}
-            for c in out.columns:
-                if c in gcols:
-                    continue
-                if c.endswith("__c"):
-                    how[c] = "sum"
-                elif c.endswith("__d"):
-                    how[c] = _pickle_distinct
-                elif c.endswith("__s"):
-                    k = c[:-3]
-                    a = agg_map[[kk for kk, nn in names.items()
-                                 if nn == k][0]]
-                    how[c] = {"sum": "sum", "avg": "sum", "min": "min",
-                              "max": "max"}[a[1]]
-            return (out.groupby(gcols, sort=False, as_index=False,
+            keys = gcols + [c for c in out.columns if c.endswith("__d")]
+            how = {c: how_of(c) for c in out.columns if c not in keys}
+            if not how:                       # COUNT(DISTINCT) only
+                return out[keys].drop_duplicates()
+            # dropna=False: a NULL key or distinct argument still feeds
+            # the other aggregates of its group
+            return (out.groupby(keys, sort=False, as_index=False,
                                 dropna=False).agg(how))
 
-        def bucketize(df: pd.DataFrame) -> pd.DataFrame:
-            gcols = group or ["__g"]
-            if not len(df):
-                df = df.copy()
-                df["__bucket"] = pd.Series([], dtype="int64")
-                return df
-            key = df[gcols[0]].astype(str)
-            for g in gcols[1:]:
-                key = key + "|" + df[g].astype(str)
-            df = df.copy()
-            df["__bucket"] = stable_bucket(key, key, 64)
-            return df
-
         def combine(df: pd.DataFrame) -> pd.DataFrame:
-            gcols = group or ["__g"]
-            if not len(df):
-                return df.drop(columns="__bucket")
-            how = {c: ("sum" if c.endswith(("__c",)) else None)
-                   for c in df.columns}
-            agg_how = {}
-            for c in df.columns:
-                if c in gcols or c == "__bucket":
-                    continue
-                if c.endswith("__c"):
-                    agg_how[c] = "sum"
-                elif c.endswith("__d"):
-                    agg_how[c] = _merge_distinct
-                else:
-                    k = c[:-3]
-                    a = agg_map[[kk for kk, nn in names.items()
-                                 if nn == k][0]]
-                    agg_how[c] = {"sum": "sum", "avg": "sum",
-                                  "min": "min", "max": "max"}[a[1]]
-            return (df.drop(columns="__bucket")
-                    .groupby(gcols, sort=False, as_index=False,
-                             dropna=False).agg(agg_how))
+            return (df.groupby(gcols, sort=False, as_index=False,
+                               dropna=False)
+                    .agg({c: how_of(c) for c in df.columns
+                          if c not in gcols}))
 
-        res = (ds.map_batches(partial, batch_format="pandas")
-               .map_batches(bucketize, batch_format="pandas")
-               .groupby("__bucket")
-               .map_groups(combine, batch_format="pandas")).to_pandas()
+        res = bucket_exchange(ds.map_batches(partial, batch_format="pandas"),
+                              gcols, combine, 64, "pandas").to_pandas()
         if len(res) == 0:                     # nothing survived WHERE
             res = _empty_partial()
         # finalize agg values
@@ -1285,12 +1235,7 @@ def _run_select(q: dict, tables: dict):
             if a[1] == "count":
                 res[col] = res[col + "__c"].astype("int64")
             elif a[1] == "countd":
-                import pickle as _pk
-
-                res[col] = res[col + "__d"].map(
-                    lambda b: np.int64(len(_pk.loads(b)))
-                    if isinstance(b, (bytes, bytearray))
-                    else np.int64(0)).astype("int64")
+                res[col] = res[col + "__d"].astype("int64")
             elif a[1] == "avg":
                 res[col] = res[col + "__s"] / res[col + "__c"]
             else:

@@ -14,7 +14,7 @@ Scope (the data-interchange subset, not a spreadsheet app):
 
 Reference parity note: the reference stores blobs untouched; this
 module extends the engine's source family (sources.read_table /
-write_table fmt='xlsx') the way avrocodec/pbcodec do for their formats.
+write_table fmt='xlsx') the way avrocodec does for Avro.
 """
 
 from __future__ import annotations

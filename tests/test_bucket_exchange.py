@@ -328,3 +328,45 @@ def test_writers_persist_pinned_ids(tmp_path):
             got = pd.read_parquet(out / d / "data.parquet")[col].tolist()
             want = {ids[frame[col].tolist().index(v)] for v in got}
             assert want == {int(d.split("=")[1])}
+
+
+# Calls that may bypass ``ops.bucket_exchange``, by enclosing top-level
+# function: the LSH band pairs are not bucket-agnostic (a pair can emit
+# from two bands, and the closing dedup spans bands), and each sources
+# writer makes one directory or tar per group.
+_MAP_GROUPS_SITES = {"linking._lsh_candidate_pairs",
+                     "sources.write_partitioned",
+                     "sources.write_webdataset"}
+_STABLE_BUCKET_SITES = {"sources.write_partitioned",
+                        "sources.write_webdataset"}
+
+
+def _call_sites(name: str) -> set[str]:
+    """``module.function`` of every call to ``name`` (a method or a plain
+    function) in the package source."""
+    import ast
+    from pathlib import Path
+
+    import gitprov_ray
+
+    root = Path(gitprov_ray.__file__).parent
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        mod = ".".join(path.relative_to(root).with_suffix("").parts)
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                f = getattr(node, "func", None)
+                if isinstance(node, ast.Call) and name in (
+                        getattr(f, "attr", None), getattr(f, "id", None)):
+                    sites.add(f"{mod}.{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_only_listed_sites_bypass_the_keyed_exchange():
+    """Every keyed shuffle goes through ``ops.bucket_exchange``: a new
+    ``groupby().map_groups`` or a hand-rolled ``stable_bucket`` column
+    outside the listed sites fails here."""
+    assert _call_sites("map_groups") == _MAP_GROUPS_SITES
+    stable = {s for s in _call_sites("stable_bucket")
+              if not s.startswith("ops.")}
+    assert stable == _STABLE_BUCKET_SITES

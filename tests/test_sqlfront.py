@@ -53,7 +53,7 @@ BATTERY = [
     "JOIN nation ON customer.c_nationkey = nation.n_nationkey "
     "GROUP BY n_name ORDER BY n DESC, n_name",
 
-    # COUNT(DISTINCT): exact, distributed as pickled set partials
+    # COUNT(DISTINCT): exact; the argument joins the partial's group keys
     "SELECT event_type, COUNT(DISTINCT user_id) AS nu, COUNT(*) AS n "
     "FROM events GROUP BY event_type ORDER BY event_type",
 
@@ -163,6 +163,12 @@ BATTERY = [
     "(SELECT doc_id, n_chars * 2 AS l2, lang FROM documents "
     "WHERE n_chars > 100) AS d "
     "WHERE d.lang = 'en' ORDER BY d.l2 DESC, d.doc_id LIMIT 12",
+
+    # high-cardinality COUNT(DISTINCT): about one distinct value per row
+    # of each group, next to an argument that is NULL on some rows
+    "SELECT event_type, COUNT(DISTINCT event_id) AS ne, "
+    "COUNT(DISTINCT CASE WHEN value > 100 THEN user_id END) AS nu, "
+    "COUNT(*) AS n FROM events GROUP BY event_type ORDER BY event_type",
 ]
 
 
