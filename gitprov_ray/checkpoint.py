@@ -291,6 +291,7 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
         return {"graphs": [], "new_events": 0, "triples_written": 0}
 
     old = sorted(set(affected) & set(prior["graphs"]))
+    # a union, not materialize + from_arrow_refs: that barrier measured slower
     events = new_revs if not old else \
         _read_stage(workdir, "revisions", graphs=old).union(new_revs)
     # materialized once: it feeds the triples AND the write-back. The

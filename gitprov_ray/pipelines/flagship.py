@@ -5,19 +5,19 @@
                                  [exchange 1: event dedup + version lag,
                                   every event column carried]
                → map_batches(emit_stateless_arrow + emit_status_arrow
-                             + flatten_batch_compact)   [compact triples]
-               → union(agents' compact rows)
+                             + flatten_batch_compact
+                             + agents rows of its graphs)  [compact triples]
                → bucket_exchange(compact key, _dedup_expand_sort_group)
                                  [exchange 2: dedup + expand + sort
                                   → final graph]
 
-Two exchanges, one consumer per Dataset: everything streams, and no stage
-re-executes. Both exchanges are ``ops.bucket_exchange``: a boundary-given
-sort over fixed bucket ranges (no sampling round) and one kernel call per
-partition on whole buckets. The only materialized side input is the tiny
-contributors table (broadcast in the emit closure). Callers own the Ray
-session (the ``__ray_entry__.py`` contract) — nothing here calls
-``ray.init``.
+Two exchanges, one consumer per Dataset and no ``Union``: everything
+streams, and no stage re-executes. Both exchanges are
+``ops.bucket_exchange``: a boundary-given sort over fixed bucket ranges (no
+sampling round) and one kernel call per partition on whole buckets. The
+only side input is the tiny contributors table, broadcast in the compact
+map's closure. Callers own the Ray session (the ``__ray_entry__.py``
+contract) — nothing here calls ``ray.init``.
 """
 
 from __future__ import annotations
@@ -37,29 +37,34 @@ def revisions_from_pages(pages_ds: "rd.Dataset") -> "rd.Dataset":
                                 batch_format="pyarrow")
 
 
-def compact_from_lagged(lagged: pa.Table, agents_idx: dict) -> pa.Table:
+def compact_from_lagged(lagged: pa.Table, agents_idx: dict,
+                        agents: pa.Table) -> pa.Table:
     """One block of lagged events (``versions.lag_events`` output) → compact
     triple rows: the stateless statements of every row, the status
-    statements of the ``lag_first`` rows, flattened in the same task."""
+    statements of the ``lag_first`` rows, flattened in the same task, plus
+    the compact ``agents`` rows of the block's graphs."""
+    import pyarrow.compute as pc
+
     stmts = pa.concat_tables([emit.emit_stateless_arrow(lagged, agents_idx),
                               versions.emit_status_arrow(lagged)])
-    return triples_stage.flatten_batch_compact(stmts)
+    mine = agents.filter(pc.is_in(agents["graph"], pc.unique(lagged["graph"])))
+    return pa.concat_tables([triples_stage.flatten_batch_compact(stmts), mine])
 
 
 def triples_from_lagged(lagged_ds, contributor_rows, num_buckets: int = 64):
-    """Lagged events → final deduplicated triples. The small agents index
-    broadcasts via the serialized-once closure (no actor-pool spawn
-    latency); the agents' own rows join as one compact block built in the
-    calling process."""
+    """Lagged events → final deduplicated triples. The agents index and
+    compact rows, built once here, broadcast via the serialized-once
+    closure; each block carries its graphs' agent rows (none for a graph
+    without events, as in the oracle), and the dedup exchange dedups them."""
     agents_idx = emit.agents_index(contributor_rows)
+    agents = triples_stage.flatten_batch_compact(
+        emit.emit_agents_table(contributor_rows))
     compact = lagged_ds.map_batches(
-        lambda t: compact_from_lagged(t, agents_idx), batch_format="pyarrow")
-    agents = rd.from_arrow(triples_stage.flatten_batch_compact(
-        emit.emit_agents_table(contributor_rows)))
+        lambda t: compact_from_lagged(t, agents_idx, agents),
+        batch_format="pyarrow")
     # compact-id exchange: local names + predicate codes through the dedup
     # shuffle, URIs expanded post-dedup (~45% fewer shuffle bytes)
-    return triples_stage.dedup_compact(compact.union(agents),
-                                       num_buckets=num_buckets)
+    return triples_stage.dedup_compact(compact, num_buckets=num_buckets)
 
 
 def triples_from_revisions(revisions_ds, contributor_rows,

@@ -23,27 +23,30 @@ def _keys(df: pd.DataFrame):
 _ROW = ["subj", "pred", "obj", "obj_is_literal", "obj_dtype", "graph"]
 
 
+def _pages_ds(pages, page_blocks: str):
+    """The pages as one block, or cut into 3×fan-out blocks."""
+    import numpy as np
+    import ray.data as rd
+    from gitprov_ray.util import fanout
+
+    if page_blocks == "one":
+        return rd.from_arrow(pages)
+    cuts = np.array_split(np.arange(pages.num_rows), 3 * fanout())
+    return rd.from_arrow([pages.slice(int(c[0]), len(c)) for c in cuts])
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("page_blocks", ["one", "3xfanout"])
 @pytest.mark.parametrize("num_buckets", [2, 8, 32])
 def test_engine_matches_oracle_exactly(tiny_corpus, num_buckets, page_blocks):
     """Set-exact at fewer, equal and more buckets than the fan-out (8
     blocks at 4 CPUs), from one pages block or from 3×fan-out blocks."""
-    import numpy as np
-    import ray.data as rd
     from gitprov_ray import oracle
     from gitprov_ray.pipelines import flagship
-    from gitprov_ray.util import fanout
 
     pages, revisions, contributors = tiny_corpus
-    if page_blocks == "one":
-        pages_ds = rd.from_arrow(pages)
-    else:
-        cuts = np.array_split(np.arange(pages.num_rows), 3 * fanout())
-        pages_ds = rd.from_arrow([pages.slice(int(c[0]), len(c))
-                                  for c in cuts])
     engine = flagship.triples_from_pages(
-        pages_ds, contributors.to_pylist(),
+        _pages_ds(pages, page_blocks), contributors.to_pylist(),
         num_buckets=num_buckets).to_pandas()
     golden, _ = oracle.build_triples(revisions.to_pylist(),
                                      contributors.to_pylist())
@@ -51,6 +54,37 @@ def test_engine_matches_oracle_exactly(tiny_corpus, num_buckets, page_blocks):
     assert rows == {tuple(t[c] for c in _ROW) for t in golden}  # P = R = 1.0
     # engine output itself is exactly deduplicated
     assert len(engine) == len(_keys(engine)) == len(rows)
+
+
+@pytest.mark.parametrize("pages_input", ["parquet", "one", "3xfanout"])
+def test_agents_of_graphs_without_events(tiny_corpus, ray_session, tmp_path,
+                                         pages_input):
+    """Contributors of a graph with no pages give no triples: the oracle
+    emits agents only for graphs with revisions, and so does the engine,
+    from a pages parquet or from one or 3×fan-out pages blocks."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    from gitprov_ray import oracle, synth
+    from gitprov_ray.pipelines import flagship
+
+    pages, revisions, contributors = tiny_corpus
+    extra = "src99.example"
+    assert extra not in set(revisions.column("graph").to_pylist())
+    rows = pa.concat_tables(
+        [contributors, synth.contributors_for_sources([extra])]).to_pylist()
+    if pages_input == "parquet":
+        p = str(tmp_path / "pages.parquet")
+        pq.write_table(pages, p)
+        ds = flagship.flagship_from_pages_parquet(p, rows, num_buckets=4)
+    else:
+        ds = flagship.triples_from_pages(_pages_ds(pages, pages_input), rows,
+                                         num_buckets=4)
+    engine = ds.to_pandas()
+    golden, _ = oracle.build_triples(revisions.to_pylist(), rows)
+    got = set(map(tuple, engine[_ROW].itertuples(index=False)))
+    assert got == {tuple(t[c] for c in _ROW) for t in golden}
+    assert len(engine) == len(got)
+    assert extra not in set(engine["graph"])
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -121,36 +155,50 @@ def test_flagship_from_pages_parquet(tiny_corpus, ray_session, tmp_path):
     assert ka == kb and len(a) == len(b)
 
 
-def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
-    """The flagship's logical plan holds exactly two all-to-all operators —
-    the version-lag exchange and the triple dedup exchange — and no
-    Repartition: the events take one shuffle and are consumed once. Both
-    are ``ops.bucket_exchange`` Sorts on ``bucket`` with boundaries given
-    up front, so neither runs a sampling round."""
-    import pyarrow.parquet as pq
-    from ray.data._internal.logical.operators.all_to_all_operator import (
-        AbstractAllToAll, Repartition, Sort)
-
-    from gitprov_ray.pipelines import flagship
-
-    pages, _, contributors = tiny_corpus
-    p = str(tmp_path / "pages.parquet")
-    pq.write_table(pages, p)
-    ds = flagship.flagship_from_pages_parquet(p, contributors.to_pylist(),
-                                              num_buckets=4)
+def _plan_ops(ds) -> list:
+    """Every logical operator in ``ds``'s plan, each once."""
     ops, todo = {}, [ds._logical_plan.dag]
     while todo:
         op = todo.pop()
         if id(op) not in ops:
             ops[id(op)] = op
             todo.extend(op.input_dependencies)
-    exchanges = [o for o in ops.values() if isinstance(o, AbstractAllToAll)]
+    return list(ops.values())
+
+
+def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
+    """The flagship's logical plan holds exactly two all-to-all operators —
+    the version-lag exchange and the triple dedup exchange — and no
+    Repartition: the events take one shuffle and are consumed once. Both
+    are ``ops.bucket_exchange`` Sorts on ``bucket`` with boundaries given
+    up front, so neither runs a sampling round. No ``Union`` feeds an
+    exchange, in the build or in the merge's ``triples_from_lagged`` path:
+    the agents' rows ride inside the compact map."""
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data._internal.logical.operators.all_to_all_operator import (
+        AbstractAllToAll, Repartition, Sort)
+    from ray.data._internal.logical.operators.n_ary_operator import Union
+
+    from gitprov_ray.pipelines import flagship
+    from gitprov_ray.stages import versions
+
+    pages, revisions, contributors = tiny_corpus
+    p = str(tmp_path / "pages.parquet")
+    pq.write_table(pages, p)
+    ops = _plan_ops(flagship.flagship_from_pages_parquet(
+        p, contributors.to_pylist(), num_buckets=4))
+    exchanges = [o for o in ops if isinstance(o, AbstractAllToAll)]
     assert len(exchanges) == 2
-    assert not any(isinstance(o, Repartition) for o in ops.values())
+    assert not any(isinstance(o, (Repartition, Union)) for o in ops)
     for o in exchanges:
         assert isinstance(o, Sort)
         assert o._sort_key.get_columns() == ["bucket"]
         assert o._sort_key.boundaries
+    merge_ops = _plan_ops(flagship.triples_from_lagged(
+        rd.from_arrow(versions.lag_events(revisions)),
+        contributors.to_pylist(), num_buckets=4))
+    assert not any(isinstance(o, Union) for o in merge_ops)
 
 
 def test_triples_order_insensitive_to_input_permutation(ray_session):

@@ -13,8 +13,15 @@ with the driver's semantics approximated conservatively:
 Queries with no oracle twin are run rows-only (must not raise, row count
 recorded), mirroring the driver's weaker check.
 
+The registry runs in a child process with its own Ray session. A Ray core
+abort kills only the child: the query it was running counts as a failure
+(``core_abort``) and a new child resumes from the next query, so the run
+always ends with its summary line. ``--out`` gets one JSON line per query
+the moment it finishes.
+
 Usage:  python tools/driver_sim.py [--sf-dir /root/testdata/sf0.01]
                                    [--num-cpus 32] [--only q1,q2,...]
+                                   [--out results.jsonl]
 Exit code is non-zero if any query fails. CLAUDE.md: run one at sf0.01 /
 32 CPUs before shipping a round — partition-count- and dtype-dependent
 failures do not reproduce at pytest's sf0.001 / 4-CPU scale.
@@ -25,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 import time
 import traceback
@@ -79,14 +87,88 @@ def main() -> int:
                     default=int(os.environ.get("RAY_GRAFT_CPUS", "32")))
     ap.add_argument("--only", default=None,
                     help="comma-separated subset of query names")
-    ap.add_argument("--out", default=None, help="write JSON results here")
+    ap.add_argument("--out", default=None,
+                    help="append one JSON line per query here")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    import multiprocessing as mp
+
+    import __ray_entry__ as E
+
+    only = set(args.only.split(",")) if args.only else None
+    todo = [n for n in E.queries() if not only or n in only]
+    if args.out:
+        open(args.out, "w").close()
+
+    results, failures = {}, []
+
+    def record(name, r, ok):
+        results[name] = r
+        if not ok:
+            failures.append(name)
+        if "sec" in r:
+            print(("ok   " if ok else "FAIL ") +
+                  f"{name}  rows={r['spark_rows']}  {r['sec']}s" +
+                  ("" if ok else f"  {json.dumps({k: r[k] for k in ('rows_match','schema_match','hash_match','err')})}"),
+                  flush=True)
+        else:
+            print(f"FAIL  {name}: {r['err'].split(':')[0]}", flush=True)
+        if args.out:
+            with open(args.out, "a") as f:
+                f.write(json.dumps({"query": name, **r}) + "\n")
+
+    ctx = mp.get_context("spawn")
+    while todo:
+        reader, writer = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_run_queries,
+                            args=(todo, args.sf_dir, args.num_cpus, writer))
+        child.start()
+        writer.close()
+        running, started = None, False
+        while True:
+            try:
+                msg = reader.recv()
+            except EOFError:
+                break
+            if msg[0] == "start":
+                running, started = msg[1], True
+            else:
+                record(*msg[1:])
+                todo.remove(msg[1])
+                running = None
+        child.join()
+        try:
+            os.killpg(child.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        if todo and not started:
+            raise SystemExit(f"driver_sim: the query child exited "
+                             f"{child.exitcode} before its first query")
+        if running is not None:
+            # the child died inside a query (a Ray core abort): count it,
+            # and resume from the next one in a new child and Ray session
+            record(running, {"err": "core_abort",
+                             "exitcode": child.exitcode}, False)
+            todo.remove(running)
+
+    n_oracle = sum(1 for r in results.values() if r.get("oracle_rows") is not None)
+    summary = {"queries": len(results), "oracle_twins": n_oracle,
+               "failures": failures}
+    print(json.dumps(summary))
+    return 1 if failures else 0
+
+
+def _run_queries(names, sf_dir, num_cpus, conn) -> None:
+    """Child process: run ``names`` in order in one Ray session, sending
+    ("start", name) before each query and ("done", name, result, ok)
+    after it. It leads a new session, so that the parent can stop
+    whatever a Ray core abort leaves of its Ray processes."""
+    os.setsid()
     import duckdb
     import ray
 
-    ray.init(address="local", num_cpus=args.num_cpus,
+    ray.init(address="local", num_cpus=num_cpus,
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
     from ray.data import DataContext
@@ -96,26 +178,22 @@ def main() -> int:
     import __ray_entry__ as E
 
     qs, osql = E.queries(), E.oracle_sql()
-    only = set(args.only.split(",")) if args.only else None
-
     con = duckdb.connect()
     for t in TABLES:
-        p = os.path.join(args.sf_dir, f"{t}.parquet")
+        p = os.path.join(sf_dir, f"{t}.parquet")
         if os.path.exists(p):
             con.execute(
                 f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
 
-    results, failures = {}, []
-    for name, fn in qs.items():
-        if only and name not in only:
-            continue
+    for name in names:
+        conn.send(("start", name))
         t0 = time.time()
         try:
-            ray_df = _to_pandas(fn(args.sf_dir))
+            ray_df = _to_pandas(qs[name](sf_dir))
         except Exception:
-            results[name] = {"err": "query_raised:\n" + traceback.format_exc()}
-            failures.append(name)
-            print(f"FAIL  {name}: raised", flush=True)
+            conn.send(("done", name,
+                       {"err": "query_raised:\n" + traceback.format_exc()},
+                       False))
             continue
         if name in osql:
             ora_df = con.execute(osql[name]).fetchdf()
@@ -127,23 +205,8 @@ def main() -> int:
                  "oracle_rows": None, "err": "no_oracle"}
             ok = True
         r["sec"] = round(time.time() - t0, 2)
-        results[name] = r
-        if not ok:
-            failures.append(name)
-        print(("ok   " if ok else "FAIL ") +
-              f"{name}  rows={r['spark_rows']}  {r['sec']}s" +
-              ("" if ok else f"  {json.dumps({k: r[k] for k in ('rows_match','schema_match','hash_match','err')})}"),
-              flush=True)
-
-    n_oracle = sum(1 for r in results.values() if r.get("oracle_rows") is not None)
-    summary = {"queries": len(results), "oracle_twins": n_oracle,
-               "failures": failures}
-    print(json.dumps(summary))
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(results, f, indent=1)
+        conn.send(("done", name, r, ok))
     ray.shutdown()
-    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -6,7 +6,9 @@ Sorts are reported in two kinds: ``Sort[bounds]`` partitions on boundaries
 given up front (``ops.bucket_exchange``), ``Sort[sampled]`` first runs a
 blocking boundary-sampling round over every input block (a plain
 ``sort(key)`` and every sort-based ``groupby().map_groups``), so the audit
-shows which exchanges still pay that round.
+shows which exchanges still pay that round. ``Union`` operators are listed
+in the plan column too, not counted as exchanges: a union in front of an
+exchange stalled the flagship 15× above ~4,000 documents.
 
 This is the static half of the 100-TB scale review: a query whose plan
 carries more exchanges than its algorithm needs is a candidate for the
@@ -23,6 +25,8 @@ import sys
 import time
 
 sys.path.insert(0, ".")
+
+_EXCHANGE = r"Sort|Aggregate|Repartition|Join|RandomShuffle|Distinct"
 
 
 def main() -> None:
@@ -68,28 +72,30 @@ def main() -> None:
                 walk(d)
 
         walk(res._logical_plan.dag)
-        exchanges = [o for o in ops_seen if re.match(
-            r"Sort|Aggregate|Repartition|Join|RandomShuffle|Distinct", o)]
+        exchanges = [o for o in ops_seen if re.match(_EXCHANGE, o)]
+        shown = [o for o in ops_seen if re.match(_EXCHANGE, o) or o == "Union"]
         rows.append((name, str(len(exchanges)),
-                     "+".join(exchanges) if exchanges else "map-only"))
+                     "+".join(shown) if shown else "map-only"))
     out_lines = ["| query | exchanges | plan |", "|---|---|---|"]
     for name, n, detail in rows:
         out_lines.append(f"| {name} | {n} | {detail} |")
     text = "\n".join(out_lines)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write("# Per-query exchange audit (lazy plans, sf0.001)\n\n"
-                    + text + "\n")
-    print(text)
     counts = [int(n) for _, n, _ in rows if n.isdigit()]
     eager = sum(1 for _, n, _ in rows if n == "eager")
     err = sum(1 for _, n, _ in rows if n == "ERROR")
     sampled = [d.count("Sort[sampled]") for _, n, d in rows if n.isdigit()]
-    print(f"\nlazy plans: {len(counts)}, eager: {eager}, errors: {err}, "
-          f"max exchanges: {max(counts) if counts else 0}, "
-          f"sampled sorts: {sum(sampled)} in "
-          f"{sum(1 for k in sampled if k)} plans",
-          file=sys.stderr)
+    unions = [d.split("+").count("Union") for _, n, d in rows if n.isdigit()]
+    summary = (f"lazy plans: {len(counts)}, eager: {eager}, errors: {err}, "
+               f"max exchanges: {max(counts) if counts else 0}, "
+               f"sampled sorts: {sum(sampled)} in "
+               f"{sum(1 for k in sampled if k)} plans, "
+               f"unions: {sum(unions)} in {sum(1 for k in unions if k)} plans")
+    if args.out:
+        with open(args.out, "w") as f:
+            f.write("# Per-query exchange audit (lazy plans, sf0.001)\n\n"
+                    + text + "\n\n" + summary + "\n")
+    print(text)
+    print("\n" + summary, file=sys.stderr)
     ray.shutdown()
 
 
