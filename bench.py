@@ -47,7 +47,13 @@ def _host_meta() -> dict:
     cross-round comparisons carry their own evidence (VERDICT r04 #9):
     this host's timings are bimodal under external load, and a cold Ray
     worker pool adds tens of seconds that are session overhead, not
-    pipeline throughput."""
+    pipeline throughput. ``ray`` and ``ray_data_reservation`` name the
+    scheduler: the version and Ray Data's per-operator CPU reservation
+    flag, which ``util.tune_context`` switches off; read after a run, they
+    tell records made under either scheduling mode apart."""
+    import ray
+    from ray.data import DataContext
+
     try:
         la1, la5, _ = os.getloadavg()
     except OSError:
@@ -56,7 +62,9 @@ def _host_meta() -> dict:
     # started, i.e. this process spawned its own cluster from nothing
     cold = not os.path.isdir("/tmp/ray/ray_current_cluster")
     return {"load_avg_1m": round(la1, 2), "load_avg_5m": round(la5, 2),
-            "cold_start": cold}
+            "cold_start": cold, "ray": ray.__version__,
+            "ray_data_reservation":
+                DataContext.get_current().op_resource_reservation_enabled}
 
 
 def run_bench() -> dict:
@@ -122,6 +130,7 @@ def run_bench() -> dict:
             res.count()
         qtimes[name] = round(time.time() - t0, 3)
 
+    end = _host_meta()
     ray.shutdown()
     return {
         "metric": "flagship_kg_sec",
@@ -134,7 +143,8 @@ def run_bench() -> dict:
         "triples": n_triples,
         "triples_per_sec": round(n_triples / flagship_sec, 1),
         **meta,
-        "load_avg_1m_end": _host_meta()["load_avg_1m"],
+        "ray_data_reservation": end["ray_data_reservation"],
+        "load_avg_1m_end": end["load_avg_1m"],
     }
 
 

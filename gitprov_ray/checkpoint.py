@@ -35,6 +35,7 @@ import pyarrow.dataset as pads
 
 from . import schemas, store as store_mod
 from .pipelines import flagship as fl
+from .util import tune_context
 
 
 _CODE_VERSION = "r3"  # bump when stage semantics change → old checkpoints invalid
@@ -162,6 +163,7 @@ def run_flagship(sf_dir: str, workdir: str, num_buckets: int = 32,
     corpus only — discarding every merged batch). Pass ``fresh=True`` to
     explicitly discard the incremental state and rebuild from ``sf_dir``.
     """
+    tune_context()  # a resumed run reads its checkpoint before any stage does
     os.makedirs(workdir, exist_ok=True)
     if _has_incremental_state(workdir):
         if not fresh:
@@ -282,6 +284,7 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
     from .ops import materialize_normalized
     from .stages import versions
 
+    tune_context()
     stage_root = _stage_dir(workdir, "revisions")
     prior = _stage_manifest(workdir, "revisions")
     store_mod.recover_replaced(stage_root)  # before the history is read

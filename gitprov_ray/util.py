@@ -23,18 +23,28 @@ def fanout() -> int:
     """Blocks per split: 2×CPUs, no floor. Two blocks per core keep every
     core busy through a straggler; more only adds scheduling (a 16-block
     floor at 2 CPUs ran 2–9 ms tasks that cost more to schedule than to
-    run)."""
+    run). Both figures were measured while Ray Data still capped each
+    operator at one task (see ``tune_context``)."""
     return 2 * cluster_cpus()
 
 
 def tune_context() -> None:
-    """Size Ray Data's shuffle/read parallelism to ``fanout()``.
+    """Size Ray Data's shuffle/read parallelism to ``fanout()`` and let
+    every operator use the whole session.
 
     The default of 200 partitions creates hundreds of near-empty shuffle
     tasks at small scale (pure scheduling overhead: a 6-group aggregate was
     spending 20s of wall on ~2s of compute). ``fanout()`` (2×CPUs, no
     floor) keeps every core busy while bounding task count; at real
     cluster scale the CPU count grows and the setting scales with it.
+
+    Ray Data's per-operator CPU reservation is switched off: at 2–4 CPUs
+    it left nothing to share, so every flagship operator ran one task at
+    a time while the other cores idled. Without it Ray Data applies no
+    backpressure of its own; the flagship's exchanges hold their whole
+    input either way, and a streaming read→map→write chain is bounded by
+    Ray core's object spilling.
+
     Idempotent and cheap — called from every pipeline entry point."""
     from ray.data import DataContext
 
@@ -44,6 +54,11 @@ def tune_context() -> None:
                  "default_hash_shuffle_parallelism"):
         if hasattr(ctx, attr):
             setattr(ctx, attr, p)
+    # Ray 2.49 _internal/execution/resource_manager.py:496-560 reserves at
+    # least one task's CPU per unfinished operator, upstream first, and
+    # shares only the rest; :91-100 builds that allocator only while this
+    # flag is on.
+    ctx.op_resource_reservation_enabled = False
 
 
 def read_parquet_clean(path, columns=None, **kwargs):

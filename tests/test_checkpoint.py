@@ -471,6 +471,53 @@ def test_revisions_checkpoint_keeps_the_revisions_schema(ray_session,
         .equals(schemas.REVISIONS)
 
 
+def test_flagship_entry_points_tune_a_fresh_context(ray_session, tiny_corpus,
+                                                    tmp_path):
+    """``run_flagship`` (resumed: it reads only its checkpoint) and
+    ``update_flagship`` each tune the process's Ray Data context
+    themselves, so neither depends on an earlier build having done it."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+    from ray.data import DataContext
+
+    from gitprov_ray import checkpoint, util
+
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(6), pa.int64()),
+        "text": [f"document {i} about provenance" for i in range(6)],
+        "lang": ["en"] * 6,
+        "source": [f"src{i % 2}" for i in range(6)]}),
+        docs / "documents.parquet")
+    wd = str(tmp_path / "wd")
+    checkpoint.run_flagship(str(docs), wd, num_buckets=4)
+    pages, _, _ = tiny_corpus
+
+    def resume():
+        r = checkpoint.run_flagship(str(docs), wd, num_buckets=4)
+        assert set(r["resumed"]) == {"revisions", "triples"}
+
+    def merge():
+        checkpoint.update_flagship(wd, rd.from_arrow(pages), num_buckets=4)
+
+    prior = DataContext.get_current()
+    try:
+        for call in (resume, merge):
+            fresh = DataContext()
+            fresh.enable_progress_bars = False
+            DataContext._set_current(fresh)
+            call()
+            ctx = DataContext.get_current()
+            assert ctx.op_resource_reservation_enabled is False, call
+            for attr in ("min_parallelism", "read_op_min_num_blocks",
+                         "default_hash_shuffle_parallelism"):
+                assert getattr(ctx, attr) == util.fanout(), attr
+    finally:
+        DataContext._set_current(prior)
+
+
 def _dup_resource_page(url: str, ts) -> dict:
     """One page listing dup.txt twice with conflicting statuses."""
     from gitprov_ray import synth

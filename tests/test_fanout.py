@@ -1,6 +1,9 @@
 """One fan-out rule: every flagship split is ``util.fanout()`` = 2×CPUs with
 no floor, and join partitions are ``max(2, CPUs)``. The test session has 4
-CPUs (conftest), below the 8 where the old 16-block floor stopped applying."""
+CPUs (conftest), below the 8 where the old 16-block floor stopped applying.
+``util.tune_context`` also switches off Ray Data's per-operator CPU
+reservation, so one operator can run as many tasks as the session has
+CPUs."""
 
 import pytest
 
@@ -25,6 +28,34 @@ def test_tune_context_sets_fanout_without_floor():
     for attr in ("min_parallelism", "read_op_min_num_blocks",
                  "default_hash_shuffle_parallelism"):
         assert getattr(ctx, attr) == 8, attr
+    assert ctx.op_resource_reservation_enabled is False
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_operators_run_tasks_concurrently():
+    """Four one-row blocks through a 0.5 s map, then the keyed exchange:
+    with the reservation on, the map ran one task at a time at 4 CPUs."""
+    import time
+
+    import pyarrow as pa
+    import ray.data as rd
+
+    from gitprov_ray import ops, util
+
+    def slow(t: pa.Table) -> pa.Table:
+        start = time.time()
+        time.sleep(0.5)
+        return t.append_column("start", pa.array([start] * t.num_rows)) \
+            .append_column("end", pa.array([time.time()] * t.num_rows))
+
+    util.tune_context()
+    ds = rd.from_items([{"k": i} for i in range(4)], override_num_blocks=4)
+    rows = ops.bucket_exchange(ds.map_batches(slow, batch_format="pyarrow"),
+                               ["k"], lambda t: t, 4).take_all()
+    assert sorted(r["k"] for r in rows) == [0, 1, 2, 3]
+    overlap = max(sum(o["start"] <= r["start"] < o["end"] for o in rows)
+                  for r in rows)
+    assert overlap >= 2
 
 
 def test_cluster_cpus_without_session(monkeypatch):

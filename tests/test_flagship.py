@@ -173,7 +173,8 @@ def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
     are ``ops.bucket_exchange`` Sorts on ``bucket`` with boundaries given
     up front, so neither runs a sampling round. No ``Union`` feeds an
     exchange, in the build or in the merge's ``triples_from_lagged`` path:
-    the agents' rows ride inside the compact map."""
+    the agents' rows ride inside the compact map. The plan runs without
+    Ray Data's per-operator CPU reservation (``util.tune_context``)."""
     import pyarrow.parquet as pq
     import ray.data as rd
     from ray.data._internal.logical.operators.all_to_all_operator import (
@@ -186,8 +187,10 @@ def test_flagship_plan_has_two_exchanges(tiny_corpus, ray_session, tmp_path):
     pages, revisions, contributors = tiny_corpus
     p = str(tmp_path / "pages.parquet")
     pq.write_table(pages, p)
-    ops = _plan_ops(flagship.flagship_from_pages_parquet(
-        p, contributors.to_pylist(), num_buckets=4))
+    ds = flagship.flagship_from_pages_parquet(
+        p, contributors.to_pylist(), num_buckets=4)
+    assert ds.context.op_resource_reservation_enabled is False
+    ops = _plan_ops(ds)
     exchanges = [o for o in ops if isinstance(o, AbstractAllToAll)]
     assert len(exchanges) == 2
     assert not any(isinstance(o, (Repartition, Union)) for o in ops)
