@@ -294,7 +294,8 @@ def update_flagship(workdir: str, new_pages_ds, num_buckets: int = 32) -> dict:
         return {"graphs": [], "new_events": 0, "triples_written": 0}
 
     old = sorted(set(affected) & set(prior["graphs"]))
-    # a union, not materialize + from_arrow_refs: that barrier measured slower
+    # a union, not materialize + from_arrow_refs: at 2 CPUs that barrier took
+    # 0.279 vs 0.260 s per 2-graph merge and 2.40 vs 2.38 s over 20 graphs
     events = new_revs if not old else \
         _read_stage(workdir, "revisions", graphs=old).union(new_revs)
     # materialized once: it feeds the triples AND the write-back. The

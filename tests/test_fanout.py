@@ -3,7 +3,8 @@ no floor, and join partitions are ``max(2, CPUs)``. The test session has 4
 CPUs (conftest), below the 8 where the old 16-block floor stopped applying.
 ``util.tune_context`` also switches off Ray Data's per-operator CPU
 reservation, so one operator can run as many tasks as the session has
-CPUs."""
+CPUs. ``util.read_parquet_clean`` reads a short file list one block per
+file."""
 
 import pytest
 
@@ -65,3 +66,37 @@ def test_cluster_cpus_without_session(monkeypatch):
 
     monkeypatch.setattr(ray, "is_initialized", lambda: False)
     assert util.cluster_cpus() == 8 and util.fanout() == 16
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_file_list_reads_one_block_per_file(tiny_corpus, tmp_path):
+    """A read of k < ``fanout()`` files gives one block per file: Ray's
+    split of each file into several blocks made the read task that had
+    no CPU wait out the executor's 0.1 s poll. A single file still splits
+    to ``fanout()`` blocks."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from gitprov_ray import checkpoint, util
+    from gitprov_ray.pipelines import flagship as fl
+
+    files = []
+    for i in range(5):
+        files.append(str(tmp_path / f"f{i}.parquet"))
+        pq.write_table(pa.table({"k": list(range(16 * i, 16 * i + 16))}),
+                       files[-1])
+    ds = util.read_parquet_clean(files).materialize()
+    assert ds.num_blocks() == 5 and ds.count() == 80
+    assert "SplitBlocks" not in ds.stats()
+    assert util.read_parquet_clean(files[:1]).materialize().num_blocks() \
+        == util.fanout()
+
+    wd = str(tmp_path / "wd")
+    pages, _, _ = tiny_corpus
+    checkpoint._write_stage(fl.revisions_from_pages(rd.from_arrow(pages)),
+                            wd, "revisions", "init")
+    graphs = checkpoint._stage_manifest(wd, "revisions")["graphs"]
+    assert 1 < len(graphs) < util.fanout()
+    hist = checkpoint._read_stage(wd, "revisions", graphs=graphs)
+    assert hist.materialize().num_blocks() == len(graphs)
