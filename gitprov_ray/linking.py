@@ -13,9 +13,9 @@ Scale design notes (per SURVEY.md §7.4):
     are truncated-with-logging (no silent caps) and the pairing is
     in-bucket pairwise over signatures only (shingle sets never move
     through the shuffle);
-  * clusters: iterative min-label propagation over the pair graph
-    (`min_label_components`) — a distributed join+aggregate per round, no
-    driver union-find, converges in <= graph-diameter rounds;
+  * clusters: large-star / small-star contraction over the pair graph
+    (`min_label_components`) — two keyed exchanges per round, no driver
+    union-find, converges in O(log² n) rounds;
   * n-gram verify: candidate pairs are hash-joined to the documents table
     on each endpoint (two shuffle joins), so only candidate docs' texts
     move and nothing corpus-sized ever lands on the driver.
@@ -426,102 +426,119 @@ def _lsh_candidate_pairs(bands_ds, id_col: str, threshold: float):
 
 
 # ---------------------------------------------------------------------------
-# distributed connected components (min-label propagation)
+# distributed connected components (large-star / small-star contraction)
 # ---------------------------------------------------------------------------
 
-def min_label_components(pairs_ds, a_col="a", b_col="b", max_rounds: int = 10,
-                         num_partitions: int | None = None):
-    """Connected components over an (a, b) pair Dataset via iterative
-    min-label propagation: each round every node takes the min label among
-    itself and its neighbors (one hash join + one hash aggregate — fully
-    distributed, no driver union-find). Converges in <= component-diameter
-    rounds; labels only decrease, so an unchanged label-sum checksum IS
-    convergence. Returns a Dataset (node, label) covering the pair
-    endpoints only (isolated nodes are their own label by definition).
+# hard cap on contraction rounds: a chain of n nodes closes in about
+# log2(n) + 2 (1,000 nodes: 9-10), so reaching this cap is a bug, not a
+# large input
+_STAR_MAX_ROUNDS = 64
+
+
+def _large_star(df: pd.DataFrame) -> pd.DataFrame:
+    """Large-star over symmetric (u, v) edges, grouped on u: every
+    neighbor v > u points at m = min(u, Γ(u)), and u points at itself
+    when u is m."""
+    df = df.drop_duplicates()
+    u = df["u"]
+    g = df.groupby("u")["v"].transform("min")
+    m = g.where(g < u, u)
+    up = df["v"] > u
+    root = u[m == u].drop_duplicates()
+    return pd.DataFrame({
+        "u": np.concatenate([df["v"][up].to_numpy(), root.to_numpy()]),
+        "v": np.concatenate([m[up].to_numpy(), root.to_numpy()])})
+
+
+def _small_star(df: pd.DataFrame) -> pd.DataFrame:
+    """Small-star over (u, v ≤ u) edges, grouped on u: u and each of its
+    neighbors point at m = min(v). The only self-loop emitted is (u, u)
+    when u is m, so at the fixpoint each node has exactly one edge."""
+    df = df.drop_duplicates()
+    u, v = df["u"], df["v"]
+    m = df.groupby("u")["v"].transform("min")
+    kid = (v != m) & (v != u)
+    own = ~u.duplicated()
+    return pd.DataFrame({
+        "u": np.concatenate([v[kid].to_numpy(), u[own].to_numpy()]),
+        "v": np.concatenate([m[kid].to_numpy(), m[own].to_numpy()]),
+    }).drop_duplicates()
+
+
+def _symmetric(t):
+    """(u, v) Arrow edges → both directions, for grouping on either end."""
+    import pyarrow as pa
+
+    return pa.table({"u": pa.chunked_array(t["u"].chunks + t["v"].chunks),
+                     "v": pa.chunked_array(t["v"].chunks + t["u"].chunks)})
+
+
+def _edge_fingerprint(edges) -> tuple[int, int]:
+    """(row count, wrapping uint64 sum of row hashes) of an edge Dataset:
+    order-free, so equal fingerprints mean an unchanged edge multiset."""
+    def part(df: pd.DataFrame) -> pd.DataFrame:
+        h = pd.util.hash_pandas_object(df[["u", "v"]], index=False)
+        return pd.DataFrame({"n": [len(df)],
+                             "h": [h.to_numpy().sum(dtype=np.uint64)]})
+
+    parts = edges.map_batches(part, batch_format="pandas").to_pandas()
+    if not len(parts):
+        return 0, 0
+    return (int(parts["n"].sum()),
+            int(parts["h"].to_numpy(np.uint64).sum(dtype=np.uint64)))
+
+
+def min_label_components(pairs_ds, a_col="a", b_col="b"):
+    """Connected components over an (a, b) pair Dataset by large-star /
+    small-star contraction (Kiveris et al., SoCC 2014): each round is two
+    keyed exchanges on u (`_large_star`, `_small_star`), and the edge set
+    is materialized once per round. A round's output depends only on its
+    input edge set, so an unchanged (count, hash sum) fingerprint is the
+    fixpoint, reached in O(log² n) rounds. At the fixpoint every node u
+    has exactly one edge (u, min of its component), which IS the result:
+    a Dataset (node, label) over the pair endpoints. Past
+    `_STAR_MAX_ROUNDS` it raises.
 
     Works for integer or string node ids (min = numeric or lexicographic).
     """
-    from ray.data.aggregate import Count, Min
+    import pyarrow as pa
+    import ray.data as rd
 
-    from .ops import _default_partitions
-
-    P = num_partitions or _default_partitions()
+    from .ops import bucket_exchange, nonempty_blocks
 
     edges = pairs_ds.map_batches(
-        lambda df: pd.DataFrame({
-            "node": np.concatenate([df[a_col].to_numpy(), df[b_col].to_numpy()]),
-            "nbr": np.concatenate([df[b_col].to_numpy(), df[a_col].to_numpy()]),
-        }),
-        batch_format="pandas").materialize()
-
-    if edges.count() == 0:
-        import ray.data as rd
-
-        return rd.from_pandas(pd.DataFrame({"node": [], "label": []}))
-
-    import pyarrow as pa
-
-    from .ops import _pa_type_of, materialize_normalized
-
-    node_t = _pa_type_of(edges.take(1)[0]["node"])
-    label_schema = pa.schema([("node", node_t), ("label", node_t)])
-    # normalize the edge blocks too: zero-row blocks pass through map
-    # UDFs untouched (wrong/absent columns) and break join partitions
-    edges = materialize_normalized(
-        edges, pa.schema([("node", node_t), ("nbr", node_t)]))
-
-    nodes = (edges.map_batches(lambda df: df[["node"]].drop_duplicates(),
-                               batch_format="pandas")
-             .groupby("node").aggregate(Count(on="node", alias_name="__c")))
-    labels = materialize_normalized(
-        nodes.map_batches(
-            lambda df: pd.DataFrame({"node": df["node"], "label": df["node"]}),
-            batch_format="pandas"),
-        label_schema)
-
-    def checksum(ds) -> int:
-        def part(df: pd.DataFrame) -> pd.DataFrame:
-            h = 0 if len(df) == 0 else int(
-                pd.util.hash_array(df["label"].to_numpy(dtype=object)).sum())
-            return pd.DataFrame({"h": [np.int64(h & 0x7FFFFFFFFFFFFFFF)]})
-
-        parts = ds.map_batches(part, batch_format="pandas").to_pandas()
-        # int64 wraparound is fine — this is a change-detection checksum
-        return int(parts["h"].to_numpy(dtype=np.int64).sum()
-                   & 0x7FFFFFFFFFFFFFFF)
-
-    prev = checksum(labels)
-    for _ in range(max_rounds):
-        # keep msgs as Arrow blocks: the union feeds a sort-based aggregate
-        # whose boundary sampler asserts on mixed pandas/arrow block types
-        msgs = edges.join(labels, "inner", P, on=("node",)).map_batches(
-            lambda t: t.select(["nbr", "label"]).rename_columns(
-                ["node", "label"]),
-            batch_format="pyarrow")
-        labels = materialize_normalized(
-            labels.union(msgs).groupby("node")
-            .aggregate(Min("label", alias_name="label")),
-            label_schema)
-        cur = checksum(labels)
-        if cur == prev:
-            return labels
-        prev = cur
-    logging.getLogger(__name__).warning(
-        "min_label_components: not converged after %d rounds "
-        "(component diameter exceeds max_rounds)", max_rounds)
-    return labels
+        lambda t: pa.table({"u": t[a_col], "v": t[b_col]}),
+        batch_format="pyarrow")
+    prev = None
+    for rounds in range(1, _STAR_MAX_ROUNDS + 1):
+        large = bucket_exchange(
+            edges.map_batches(_symmetric, batch_format="pyarrow"),
+            ["u"], _large_star, 64, "pandas")
+        edges = bucket_exchange(large, ["u"], _small_star, 64,
+                                "pandas").materialize()
+        fp = _edge_fingerprint(edges)
+        if fp[0] == 0:
+            return rd.from_pandas(pd.DataFrame({"node": [], "label": []}))
+        if fp == prev:
+            logging.getLogger(__name__).debug(
+                "min_label_components: converged in %d rounds", rounds)
+            return nonempty_blocks(edges).map_batches(
+                lambda t: t.rename_columns(["node", "label"]),
+                batch_format="pyarrow")
+        prev = fp
+    raise RuntimeError(
+        f"min_label_components: no fixpoint after {_STAR_MAX_ROUNDS} rounds")
 
 
 def neardup_clusters(docs_ds, id_col="doc_id", text_col="text",
-                     threshold: float = 0.8, max_rounds: int = 10):
-    """Connected components over the near-dup pair graph via distributed
-    iterative min-label propagation (groupby/join-based — no driver
-    union-find, no whole-corpus driver materialization).
-    Returns (doc_id, cluster_id)."""
+                     threshold: float = 0.8):
+    """Connected components over the near-dup pair graph
+    (`min_label_components`: no driver union-find, no whole-corpus driver
+    materialization). Returns (doc_id, cluster_id)."""
     from .ops import _default_partitions
 
     pairs = minhash_candidate_pairs(docs_ds, id_col, text_col, threshold)
-    labels = min_label_components(pairs, max_rounds=max_rounds)
+    labels = min_label_components(pairs)
     ids = docs_ds.select_columns([id_col])
     if labels.count() == 0:          # no near-dups: every doc is its own cluster
         return ids.map_batches(
@@ -657,8 +674,7 @@ def _agent_uris_ds(triples_ds):
     """Distinct prov:Agent subject URIs as a distributed Dataset."""
     import pyarrow.compute as pc
 
-    from ray.data.aggregate import Count
-
+    from .ops import distinct_keys
     from .prov import PREFIXES
 
     agent_type = PREFIXES["prov"] + "Agent"
@@ -669,11 +685,7 @@ def _agent_uris_ds(triples_ds):
                                    pc.equal(t["obj"], agent_type)))
                    .select(["subj"]),
         batch_format="pyarrow")
-    distinct = (agents.map_batches(
-        lambda df: df.drop_duplicates(["subj"]), batch_format="pandas")
-        .groupby("subj").aggregate(Count(on="subj", alias_name="__c")))
-    return distinct.map_batches(lambda df: df[["subj"]],
-                                batch_format="pandas")
+    return distinct_keys(agents, "subj")
 
 
 def _agent_bands_batch(t, num_buckets: int):
@@ -701,13 +713,13 @@ def canonical_agent_pairs(triples_ds, threshold: float = 0.7,
 
 
 def canonical_agent_map_ds(triples_ds, threshold: float = 0.7,
-                           num_buckets: int = 32, max_rounds: int = 10):
+                           num_buckets: int = 32):
     """Distributed agent canonicalization: (agent_uri, canonical_uri) rows
     for every non-canonical agent. canonical = lexicographically smallest
     URI of the connected component (same contract as the driver-side
     `canonical_agent_map`, proven equal by test_linking_canonical)."""
     pairs = canonical_agent_pairs(triples_ds, threshold, num_buckets)
-    labels = min_label_components(pairs, max_rounds=max_rounds)
+    labels = min_label_components(pairs)
     return labels.map_batches(
         lambda df: df[df["node"] != df["label"]].rename(
             columns={"node": "agent_uri", "label": "canonical_uri"}),
@@ -715,9 +727,11 @@ def canonical_agent_map_ds(triples_ds, threshold: float = 0.7,
 
 
 def canonical_agent_map(triples_ds, threshold: float = 0.7) -> dict[str, str]:
-    """Driver-side reference twin of `canonical_agent_map_ds` (kept as the
-    readable implementation and for small corpora; the distributed path is
-    the scale surface). Returns {agent_uri: canonical_uri}."""
+    """Driver-side reference twin of `canonical_agent_map_ds`, kept as the
+    expected value of kgbench's canonical-map check; its components come
+    from `oracle.components`. Returns {agent_uri: canonical_uri}."""
+    from .oracle import components
+
     agents = _agent_uris_ds(triples_ds).to_pandas()
     uris = sorted(set(agents["subj"]))
 
@@ -730,31 +744,12 @@ def canonical_agent_map(triples_ds, threshold: float = 0.7) -> dict[str, str]:
         for key in band_keys(sig):
             buckets.setdefault(key, []).append(i)
 
-    parent = list(range(len(uris)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for ai in range(len(members)):
-            for bi in range(ai + 1, len(members)):
-                a, b = members[ai], members[bi]
-                if (sigs[a] == sigs[b]).mean() >= threshold:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[max(ra, rb)] = min(ra, rb)
-
-    out = {}
-    for i, uri in enumerate(uris):
-        canon = uris[find(i)]
-        if canon != uri:
-            out[uri] = canon
-    return out
+    labels = components(
+        (uris[a], uris[b])
+        for members in buckets.values()
+        for ai, a in enumerate(members) for b in members[ai + 1:]
+        if (sigs[a] == sigs[b]).mean() >= threshold)
+    return {uri: canon for uri, canon in labels.items() if canon != uri}
 
 
 def rewrite_canonical_ds(triples_ds, mapping_ds, num_partitions=None):
@@ -796,28 +791,13 @@ def rewrite_canonical_ds(triples_ds, mapping_ds, num_partitions=None):
         return (t.drop_columns(["obj", "__canon_o"]).append_column("obj", o)
                 .select(cols))
 
-    j1 = (triples_ds.join(msub, "left_outer", P, on=("subj",))
-          .map_batches(fix_subj, batch_format="pyarrow"))
+    # invariant 7 between the joins: join #1's empty partitions are
+    # column-less blocks with no "obj" key for join #2
+    j1 = materialize_normalized(
+        triples_ds.join(msub, "left_outer", P, on=("subj",))
+        .map_batches(fix_subj, batch_format="pyarrow"), TRIPLES)
     return (j1.join(mobj, "left_outer", P, on=("obj",))
             .map_batches(fix_obj, batch_format="pyarrow"))
-
-
-def rewrite_canonical(triples_ds, mapping: dict[str, str]):
-    """Broadcast-dict canonical rewrite — the documented SMALL-MAP fast
-    path (a contributors-sized mapping serialized once into the closure);
-    `rewrite_canonical_ds` is the join-based scale path. The rewritten set
-    may contain new duplicates → follow with dedup_triples."""
-    if not mapping:
-        return triples_ds
-
-    def rw(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["subj"] = df["subj"].map(lambda u: mapping.get(u, u))
-        mask = ~df["obj_is_literal"]
-        df.loc[mask, "obj"] = df.loc[mask, "obj"].map(lambda u: mapping.get(u, u))
-        return df
-
-    return triples_ds.map_batches(rw, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

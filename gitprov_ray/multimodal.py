@@ -159,12 +159,6 @@ def _icocodec_is_ico(b: bytes) -> bool:
     return icocodec.is_ico(b)
 
 
-def _fontcodec_is_font(b: bytes) -> bool:
-    from . import fontcodec
-
-    return fontcodec.is_font(b)
-
-
 def parse_wav(b: bytes):
     """WAV bytes → (samples float32 in [-1,1] first channel, sample_rate).
     stdlib ``wave`` handles plain 8/16-bit PCM; everything else WAV
@@ -880,18 +874,6 @@ def probe_media(b: bytes) -> dict:
                 out.update(format="adts", codec=p["codec"],
                            frames=p["frames"],
                            duration_ms=p["duration_ms"])
-        elif b[:4] == b"\x1aE\xdf\xa3":
-            from . import matroska
-
-            p = matroska.probe_matroska(b)
-            if p is not None:
-                out.update(p)
-        elif len(b) >= 376 and b[0] == 0x47 and b[188] == 0x47:
-            from . import mpegts
-
-            p = mpegts.probe_mpegts(b)
-            if p is not None:
-                out.update(p)
         elif b[:4] == b"FORM" and b[8:12] in (b"AIFF", b"AIFC"):
             from . import audiocodec
 
@@ -914,13 +896,6 @@ def probe_media(b: bytes) -> dict:
             p = qoicodec.probe_qoi(b)
             out.update(format="qoi", codec=f"rgb{8 * p['channels']}",
                        width=p["width"], height=p["height"], frames=1)
-        elif _fontcodec_is_font(b):
-            from . import fontcodec
-
-            p = fontcodec.probe_font(b)
-            out.update(format="font",
-                       codec=f"{p['container']}-{p['flavor']}",
-                       frames=p["num_glyphs"])
         elif b[:1] == b"P" and b[1:2] in (b"5", b"6"):
             n = 0
             first = None

@@ -75,13 +75,21 @@ def materialize_normalized(ds, schema):
         return t.select(schema.names).cast(schema)
 
     mat = ds.map_batches(norm, batch_format="pyarrow").materialize()
-    refs = [ref
-            for bundle in mat.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks
-            if meta.num_rows]
-    if not refs:
+    if not mat.count():
         return rd.from_arrow(pa.Table.from_pylist([], schema=schema))
-    return rd.from_arrow_refs(refs)
+    return nonempty_blocks(mat)
+
+
+def nonempty_blocks(mat):
+    """The non-empty blocks of a materialized Dataset with at least one
+    row, as a Dataset: drops an exchange's column-less empty partitions
+    by block metadata alone (no data moves through the driver)."""
+    import ray.data as rd
+
+    return rd.from_arrow_refs([ref
+                               for bundle in mat.iter_internal_ref_bundles()
+                               for ref, meta in bundle.blocks
+                               if meta.num_rows])
 
 
 def _key_strings(col):

@@ -23,6 +23,9 @@ Mirrored semantics:
     reference NPEs; the engine (and this oracle) skip usage/derivation and
     count the row in `quarantined` (documented divergence);
   * pre-lag dedup of exact duplicate (page_key, snapshot_id) events.
+
+`components` is the union-find reference for the engine's distributed
+connected components.
 """
 
 from __future__ import annotations
@@ -138,3 +141,23 @@ def build_triples(revision_rows, contributor_rows):
     key = lambda t: (t["graph"], t["subj"], t["pred"], t["obj"])
     uniq = {key(t): t for t in triples}
     return [uniq[k] for k in sorted(uniq)], metrics
+
+
+def components(pairs) -> dict:
+    """Connected components of an undirected pair list by union-find:
+    {node: smallest node of its component} over the pair endpoints (the
+    reference for `linking.min_label_components`)."""
+    parent: dict = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {x: find(x) for x in list(parent)}

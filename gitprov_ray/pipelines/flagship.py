@@ -200,15 +200,14 @@ def contributors_for_sf(sf_dir: str) -> list[dict]:
 def canonicalize_triples(triples_ds, threshold: float = 0.7,
                          num_buckets: int = 64):
     """Opt-in entity-linking stage: cluster near-duplicate agent nodes
-    (distributed MinHash+LSH + label propagation,
+    (distributed MinHash+LSH + star-contraction components,
     linking.canonical_agent_map_ds), rewrite subj/obj to the canonical
     URIs, and re-dedup (rewrites can collide rows).
 
     The mapping never leaves the cluster: the rewrite is two bucketed
     left_outer joins on subj/obj (`linking.rewrite_canonical_ds`) — at web
-    scale the near-dup agent slice is millions of URIs, too big for the
-    old driver-collected dict broadcast (kept as
-    `linking.rewrite_canonical` for explicitly-small maps)."""
+    scale the near-dup agent slice is millions of URIs, too big for a
+    driver-collected dict."""
     from .. import linking
 
     mapping_ds = linking.canonical_agent_map_ds(

@@ -801,7 +801,7 @@ def q_media_probe(sf_dir: str):
 def kg_canonical_agents(sf_dir: str):
     """Agent canonicalization over the flagship triples: MinHash-linked
     near-duplicate agent nodes -> (agent_uri, canonical_uri) map rows via
-    the fully distributed path (bucketed LSH shuffle + min-label-propagation
+    the fully distributed path (bucketed LSH shuffle + star-contraction
     components — the web-scale agent slice never lands on the driver).
     Rows-only (linking is not SQL-expressible)."""
     from . import linking
@@ -5668,7 +5668,7 @@ def q_dbscan_embeddings(sf_dir: str):
     units (half-away rounding, the covariance/SQ8 convention), squared
     L2 in int64, eps²=1,450,000 / minPts=5 (sized so the corpus splits
     into cores, borders AND noise). Core points = eps-neighbor count
-    (self included) ≥ minPts; clusters = distributed min-label
+    (self included) ≥ minPts; clusters = distributed
     connected components over core-core eps edges
     (linking.min_label_components — no driver union-find); borders
     adopt the MIN cluster among their core neighbors; noise = −1.
@@ -5722,11 +5722,8 @@ def q_dbscan_embeddings(sf_dir: str):
         keep = a < b                          # dedup + drop self
         return pd.DataFrame({"a": a[keep], "b": b[keep]})
 
-    # core-core eps edges are sparse (mean degree ~8); 8 partitions keep
-    # the per-round join/aggregate task count proportionate
     labels = linking.min_label_components(
-        ds.map_batches(core_edges, batch_format="pandas"),
-        num_partitions=8).to_pandas()
+        ds.map_batches(core_edges, batch_format="pandas")).to_pandas()
     lut = dict(zip(labels["node"].astype("int64"),
                    labels["label"].astype("int64")))
     # isolated cores (no core neighbor) are their own cluster

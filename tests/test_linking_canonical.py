@@ -28,7 +28,7 @@ def test_canonical_map_links_near_duplicates(ray_session):
 
 
 def test_canonical_map_ds_matches_driver_twin(ray_session):
-    """The distributed (bucketed LSH + label-propagation) canonicalization
+    """The distributed (bucketed LSH + star-contraction) canonicalization
     must produce exactly the driver union-find's mapping."""
     import ray.data as rd
     from gitprov_ray import linking
@@ -51,46 +51,73 @@ def test_canonical_map_ds_matches_driver_twin(ray_session):
     assert dist.get(ns + "jonathan-smith1") == ns + "jonathan-smith"
 
 
-def test_min_label_components(ray_session):
-    import ray.data as rd
-    from gitprov_ray import linking
+def _shuffled_chain(n: int, seed: int = 0):
+    ids = np.random.RandomState(seed).permutation(n)
+    return list(zip(ids[:-1], ids[1:]))
 
-    # two components incl. a 6-node chain (needs multiple rounds)
-    pairs = rd.from_pandas(pd.DataFrame(
-        {"a": [6, 5, 4, 3, 2, 100], "b": [7, 6, 5, 4, 3, 101]}))
-    lab = linking.min_label_components(pairs).to_pandas()
-    got = dict(zip(lab["node"], lab["label"]))
-    assert got == {2: 2, 3: 2, 4: 2, 5: 2, 6: 2, 7: 2, 100: 100, 101: 100}
+
+def _random_graph(seed: int = 3):
+    rng = np.random.RandomState(seed)
+    return list(zip(rng.randint(0, 2000, 1500), rng.randint(0, 2000, 1500)))
+
+
+_COMPONENT_CASES = {
+    "chain16": _shuffled_chain(16),
+    "chain64": _shuffled_chain(64),
+    "chain1000": _shuffled_chain(1000),
+    "star": [(0, i) for i in range(1, 200)],
+    "random": _random_graph(),
+    "self_pair": [(5, 5), (1, 2)],
+    "strings": [("n-c", "n-b"), ("n-b", "n-d"), ("z", "y")],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COMPONENT_CASES))
+def test_min_label_components(ray_session, caplog, case):
+    """Star contraction equals the union-find oracle on every shape, and
+    a chain of n nodes closes in at most ceil(log2 n) + 2 rounds."""
+    import logging
+    import math
+    import re
+
+    import ray.data as rd
+    from gitprov_ray import linking, oracle
+
+    pairs = _COMPONENT_CASES[case]
+    frame = pd.DataFrame(pairs, columns=["a", "b"])
+    if not pairs:
+        frame = frame.astype("int64")
+    with caplog.at_level(logging.DEBUG, logger="gitprov_ray.linking"):
+        lab = linking.min_label_components(
+            rd.from_pandas(frame).repartition(4)).to_pandas()
+    got = dict(zip(lab["node"], lab["label"])) if len(lab) else {}
+    assert len(got) == len(lab)
+    assert got == oracle.components(pairs)
+    if case.startswith("chain"):
+        n = len(pairs) + 1
+        rounds = [int(m.group(1)) for r in caplog.records
+                  if (m := re.search(r"converged in (\d+) rounds",
+                                     r.getMessage()))]
+        assert rounds and rounds[-1] <= math.ceil(math.log2(n)) + 2
 
 
 def test_neardup_clusters_multiblock_matches_unionfind(ray_session):
     """Distributed clusters over a multi-block corpus must equal a
     reference union-find over the same candidate pairs."""
     import ray.data as rd
-    from gitprov_ray import linking
+    from gitprov_ray import linking, oracle
 
     docs = rd.read_parquet("/root/testdata/sf0.001/documents.parquet",
                            columns=["doc_id", "text"]).repartition(8)
     pairs = linking.minhash_candidate_pairs(docs, threshold=0.8).to_pandas()
     assert len(pairs) > 0
-    parent: dict[int, int] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in zip(pairs["a"], pairs["b"]):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    ref = oracle.components(zip(pairs["a"], pairs["b"]))
     cl = linking.neardup_clusters(docs, threshold=0.8).to_pandas()
     got = dict(zip(cl["doc_id"], cl["cluster_id"]))
     assert len(got) == 500
     for doc_id, cluster in got.items():
-        assert cluster == find(int(doc_id)), doc_id
+        assert cluster == ref.get(doc_id, doc_id), doc_id
 
 
 def test_ngram_jaccard_multiblock(ray_session):
@@ -204,7 +231,9 @@ def test_rewrite_canonical_rewrites_subj_and_obj(ray_session):
          "obj_dtype": "xsd:string", "graph": "g"},
     ]
     ds = rd.from_pandas(pd.DataFrame(rows))
-    out = linking.rewrite_canonical(ds, {"B": "A"}).to_pandas()
+    mapping = rd.from_pandas(pd.DataFrame(
+        {"agent_uri": ["B", "C"], "canonical_uri": ["A", "A"]}))
+    out = linking.rewrite_canonical_ds(ds, mapping).to_pandas()
     assert set(out.subj) == {"A"}
     assert list(out[out.obj_is_literal].obj) == ["lit"]  # literals untouched
     assert "A" in set(out[~out.obj_is_literal].obj)
@@ -213,7 +242,7 @@ def test_rewrite_canonical_rewrites_subj_and_obj(ray_session):
 def test_flagship_canonicalize_stage(ray_session):
     """Opt-in flagship canonicalization: rewritten graph has no triples
     mentioning a non-canonical agent URI, stays deduplicated, and equals
-    rewrite_canonical+dedup applied manually."""
+    the canonical rewrite + dedup applied manually."""
     from gitprov_ray import linking
     from gitprov_ray.pipelines import flagship
 
