@@ -19,6 +19,13 @@ so the high leg measures contention, not scaling. On a real N- vs 4N-node
 cluster every node brings its own cores/memory-bus/object store; 4-vs-16
 leaves that headroom while still measuring a true 4x worker ratio.
 
+``--kernels``: Ray-free timing of the flagship's per-batch kernels over the
+kgbench corpus ``kgbench.corpus.make_docs($GRAFT_KERNEL_SEED=7, 500)``:
+``page_markers`` and ``parse_page`` (per page), ``page_events_batch``,
+``flagship.compact_from_lagged`` and ``triples._dedup_expand_sort_group``
+(each over the whole corpus as one batch). Prints ONE JSON line with the
+best of 5 runs per kernel, in seconds.
+
 The page cache is warmed with one untimed read so timings measure
 compute + shuffle, not first-touch disk I/O.
 """
@@ -190,8 +197,63 @@ def run_scaling() -> dict:
     }
 
 
+def run_kernels() -> dict:
+    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    import platform
+
+    import pyarrow as pa
+
+    from gitprov_ray import extract
+    from gitprov_ray.pipelines import flagship
+    from gitprov_ray.stages import emit, pages as pages_stage, triples, versions
+    from kgbench import corpus
+
+    seed = int(os.environ.get("GRAFT_KERNEL_SEED", "7"))
+    docs = corpus.make_docs(seed, 500)
+    pages = corpus.pages_table([p for d in docs for p in d.pages])
+    htmls = pages.column("html").to_pylist()
+    contributors = corpus.contributors(corpus.graphs_of(docs))
+    agents_idx = emit.agents_index(contributors)
+    agents = triples.flatten_batch_compact(emit.emit_agents_table(contributors))
+    events = pages_stage.page_events_batch(pages)
+    lagged = versions.lag_events(events)
+    compact = flagship.compact_from_lagged(lagged, agents_idx, agents)
+
+    def best_of_5(fn) -> float:
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        return round(min(times), 4)
+
+    kernels = {
+        "page_markers": lambda: [extract.page_markers(h) for h in htmls],
+        "parse_page": lambda: [extract.parse_page(h) for h in htmls],
+        "page_events_batch": lambda: pages_stage.page_events_batch(pages),
+        "compact_from_lagged": lambda: flagship.compact_from_lagged(
+            lagged, agents_idx, agents),
+        "dedup_expand_sort_group":
+            lambda: triples._dedup_expand_sort_group(compact),
+    }
+    try:
+        la1 = os.getloadavg()[0]
+    except OSError:
+        la1 = -1.0
+    return {
+        "metric": "kernel_best_of_5_s",
+        "kernels": {name: best_of_5(fn) for name, fn in kernels.items()},
+        "seed": seed, "docs": len(docs), "pages": pages.num_rows,
+        "events": events.num_rows, "compact_rows": compact.num_rows,
+        "python": platform.python_version(), "pyarrow": pa.__version__,
+        "cpus": len(os.sched_getaffinity(0)), "load_avg_1m": round(la1, 2),
+    }
+
+
 if __name__ == "__main__":
-    if "--scaling" in sys.argv:
+    if "--kernels" in sys.argv:
+        print(json.dumps(run_kernels()))
+    elif "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:
         print(json.dumps(run_bench()))

@@ -25,12 +25,22 @@ ProvenanceService.java:161-183):
   <a rel="parent" href="#sha">                     parent snapshot pointer
   <title>                                          snapshot label (message)
 
-``parse_page`` returns both the pruned text and the event records so the
-engine extracts everything in a single pass over the html bytes.
+``parse_page`` returns both the pruned text and the markers; it is the text
+extractor and the reference for the markers. The event path
+(``stages.pages.page_events_batch``) never runs it: ``page_markers`` reads
+the markers with one compiled regex scan, which is several times cheaper
+than the ``html.parser`` walk and builds no text. A page outside the subset
+the scan reads as ``html.parser`` does (a stray '<', an unterminated tag,
+markup inside a title, ...) takes the walk; the page alone picks the branch,
+and both give the same dict. A malformed resource or parent marker (a
+valueless ``data-name``, ``data-status`` or ``href``, or a count that is not
+an int32) quarantines the page: it yields no resources.
 """
 
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 
 _DROP_TAGS = frozenset(
@@ -45,25 +55,49 @@ _BLOCK_TAGS = frozenset(
 )
 
 
-class _PageParser(HTMLParser):
+_MARKER_TAGS = frozenset({"meta", "li", "a"})
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+
+def _resource(a: dict) -> dict | None:
+    """One ``<li class="res">`` marker's attributes → its event, or None
+    when the marker is malformed: a valueless ``data-name`` or
+    ``data-status``, or a count that is not an int32."""
+    name = a.get("data-name", "")
+    status = a.get("data-status", "")
+    if name is None or status is None:
+        return None
+    try:
+        additions = int(a.get("data-additions", "0") or 0)
+        changes = int(a.get("data-changes", "0") or 0)
+        deletions = int(a.get("data-deletions", "0") or 0)
+    except ValueError:
+        return None
+    for n in (additions, changes, deletions):
+        if not _INT32_MIN <= n <= _INT32_MAX:
+            return None
+    return {"name": name, "status": status, "additions": additions,
+            "changes": changes, "deletions": deletions}
+
+
+class _Markers:
+    """Revision-marker state. ``_PageParser`` and ``_scan_markers`` feed it
+    the same calls, so both apply one set of marker rules. A malformed
+    resource or parent marker quarantines the page: ``result`` then holds
+    no resources."""
+
     def __init__(self) -> None:
-        super().__init__(convert_charrefs=True)
-        self.depth_dropped = 0
-        self.parts: list[list[str]] = [[]]  # lines of word-chunks
         self.author: str | None = None
         self.author_name: str | None = None
-        self.label: str = ""
-        self._in_title = False
-        self._title_chunks: list[str] = []
+        self.label = ""
+        self.title_chunks: list[str] = []   # never reset across titles
         self.resources: list[dict] = []
         self.parents: list[str] = []
+        self.malformed = False
 
-    # -- structure ---------------------------------------------------------
-    def handle_starttag(self, tag, attrs):
-        if tag in _DROP_TAGS:
-            self.depth_dropped += 1
-            return
-        a = dict(attrs)
+    def starttag(self, tag: str, a: dict) -> None:
+        """``tag`` in ``_MARKER_TAGS``; ``a`` = lower-cased names → values
+        (None when valueless), the last duplicate winning."""
         if tag == "meta":
             nm, content = a.get("name"), a.get("content", "")
             if nm == "author":
@@ -71,18 +105,46 @@ class _PageParser(HTMLParser):
             elif nm == "author-name":
                 self.author_name = content or None
         elif tag == "li" and "res" in (a.get("class") or "").split():
-            self.resources.append(
-                {
-                    "name": a.get("data-name", ""),
-                    "status": a.get("data-status", ""),
-                    "additions": int(a.get("data-additions", "0") or 0),
-                    "changes": int(a.get("data-changes", "0") or 0),
-                    "deletions": int(a.get("data-deletions", "0") or 0),
-                }
-            )
+            r = _resource(a)
+            if r is None:
+                self.malformed = True
+            else:
+                self.resources.append(r)
         elif tag == "a" and a.get("rel") == "parent":
             href = a.get("href", "")
-            self.parents.append(href.lstrip("#"))
+            if href is None:
+                self.malformed = True
+            else:
+                self.parents.append(href.lstrip("#"))
+
+    def end_title(self) -> None:
+        self.label = " ".join("".join(self.title_chunks).split())
+
+    def result(self) -> dict:
+        return {
+            "label": self.label,
+            "author": self.author,
+            "author_name": self.author_name,
+            "resources": [] if self.malformed else self.resources,
+            "parents": self.parents,
+        }
+
+
+class _PageParser(HTMLParser):
+    def __init__(self) -> None:
+        super().__init__(convert_charrefs=True)
+        self.depth_dropped = 0
+        self.parts: list[list[str]] = [[]]  # lines of word-chunks
+        self.markers = _Markers()
+        self._in_title = False
+
+    # -- structure ---------------------------------------------------------
+    def handle_starttag(self, tag, attrs):
+        if tag in _DROP_TAGS:
+            self.depth_dropped += 1
+            return
+        if tag in _MARKER_TAGS:
+            self.markers.starttag(tag, dict(attrs))
         if tag == "title":
             self._in_title = True
         if tag in _BLOCK_TAGS:
@@ -94,7 +156,7 @@ class _PageParser(HTMLParser):
             return
         if tag == "title":
             self._in_title = False
-            self.label = " ".join("".join(self._title_chunks).split())
+            self.markers.end_title()
         if tag in _BLOCK_TAGS:
             self._newline()
 
@@ -105,10 +167,18 @@ class _PageParser(HTMLParser):
             # undo the start-tag increment or all following text is dropped
             self.depth_dropped = max(0, self.depth_dropped - 1)
 
+    def parse_marked_section(self, i, report=1):
+        # html.parser raises AssertionError on a keyword it does not know
+        # (``<![foo[``); read that as the bogus comment HTML5 makes of it
+        try:
+            return super().parse_marked_section(i, report)
+        except AssertionError:
+            return self.parse_bogus_comment(i, report)
+
     # -- text --------------------------------------------------------------
     def handle_data(self, data):
         if self._in_title:
-            self._title_chunks.append(data)
+            self.markers.title_chunks.append(data)
         if self.depth_dropped == 0 and data:
             self.parts[-1].append(data)
 
@@ -125,27 +195,122 @@ class _PageParser(HTMLParser):
         return "\n".join(lines)
 
 
+def _decode(html: bytes | str) -> str:
+    if isinstance(html, (bytes, bytearray, memoryview)):
+        return bytes(html).decode("utf-8", errors="replace")
+    return html
+
+
 def parse_page(html: bytes | str) -> dict:
     """Parse one html payload → pruned text + revision-event structure.
 
     Deterministic: same bytes in, same dict out. Decoding is pinned to
     UTF-8 with ``errors="replace"``.
     """
-    if isinstance(html, (bytes, bytearray, memoryview)):
-        html = bytes(html).decode("utf-8", errors="replace")
     p = _PageParser()
-    p.feed(html)
+    p.feed(_decode(html))
     p.close()
-    return {
-        "text": p.text(),
-        "label": p.label,
-        "author": p.author,
-        "author_name": p.author_name,
-        "resources": p.resources,
-        "parents": p.parents,
-    }
+    return {"text": p.text(), **p.markers.result()}
 
 
 def extract_text(html: bytes | str) -> str:
     """Text-only pruning (the byte-identity invariant surface)."""
     return parse_page(html)["text"]
+
+
+# -- compiled marker scan -----------------------------------------------------
+#
+# The scan accepts a page only when every '<' opens one of the constructs
+# below, each a subset of what html.parser (Python 3.11) reads the same way:
+# a comment (ended by the first ``--\s*>``), a declaration ``<!...>``, a
+# script or style block (raw text up to its ASCII-case-insensitive end tag),
+# an end tag ``</\s*name\s*>``, or a start tag whose name ends at a separator and
+# whose attributes are separated by ASCII whitespace, with quoted values, or
+# unquoted ones that run to whitespace or '>'. Anything else (a stray '<', an
+# unterminated tag, comment or script, ``<![``, ``<?``, markup inside a title)
+# sends the page to ``parse_page``. The constructs no marker rule reads are
+# consumed inside the regex, so Python sees only the marker tags.
+_SEP = r"[\t\n\r\f ]"
+_ATTRS = (rf"(?:{_SEP}+[^\s\"'<>/=]++"
+          rf"(?:{_SEP}*={_SEP}*(?:\"[^\"]*\"|'[^']*'|[^\s\"'=>][^\s>]*+))?)*+")
+_NAME = r"[a-zA-Z][^\s/>\x00\"'<=]*+(?=[\t\n\r\f />])"
+_ENDNAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*+"
+_TITLE = "[tT][iI][tT][lL][eE]"
+_SCRIPT = "[sS][cC][rR][iI][pP][tT]"
+_STYLE = "[sS][tT][yY][lL][eE]"
+_READ = (rf"(?:[mM][eE][tT][aA]|[lL][iI]|[aA]|{_TITLE}|{_SCRIPT}|{_STYLE})"
+         r"[\t\n\r\f />]")
+_SKIP = (
+    r"(?:[^<]++|<(?:"
+    r"!--.*?--\s*>"
+    r"|!(?!--|\[)[^>]*>"
+    rf"|{_SCRIPT}(?=[\t\n\r\f />]){_ATTRS}{_SEP}*>.*?</\s*{_SCRIPT}\s*>"
+    rf"|{_STYLE}(?=[\t\n\r\f />]){_ATTRS}{_SEP}*>.*?</\s*{_STYLE}\s*>"
+    rf"|/\s*+(?!{_TITLE}(?![-.a-zA-Z0-9:_])){_ENDNAME}\s*>"
+    rf"|(?!{_READ}){_NAME}{_ATTRS}{_SEP}*/?>"
+    r"))*+"
+)
+_SCAN = re.compile(
+    # group 1: the skipped run before the token; then the token: group 2 the
+    # name of a title end tag (the run takes every other end tag), groups
+    # 3-5 a start tag the run leaves (name, attributes, '/'), group 6 a '<'
+    # outside the subset; no group at the end of the page
+    rf"({_SKIP})(?:<(?:/\s*({_ENDNAME})\s*>"
+    rf"|({_NAME})({_ATTRS}){_SEP}*(/?)>|())|\Z)",
+    re.S,
+)
+_ATTR = re.compile(rf"{_SEP}+([^\s\"'<>/=]++)(?:{_SEP}*(=){_SEP}*"
+                   r"(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'=>][^\s>]*+)))?")
+_RAW_TAGS = ("script", "style")
+
+
+def _attrs(s: str) -> dict:
+    a = {}
+    for name, eq, dq, sq, bare in _ATTR.findall(s):
+        v = (dq or sq or bare) if eq else None
+        a[name.lower()] = unescape(v) if v else v
+    return a
+
+
+def _scan_markers(html: str) -> dict | None:
+    """The revision markers of ``html`` by one compiled scan, or None when
+    the page leaves the subset the scan reads as html.parser does."""
+    mk = _Markers()
+    in_title = False
+    for m in _SCAN.finditer(html):
+        end, name, attrs, slash, bad = m.group(2, 3, 4, 5, 6)
+        if in_title:                     # only text, then </title>
+            text = m.group(1)
+            if end is None or "<" in text:
+                return None
+            mk.title_chunks.append(unescape(text))
+            mk.end_title()
+            in_title = False
+        elif end is not None:            # </title>, no title open
+            mk.end_title()
+        elif name is not None:
+            tag = name.lower()
+            if tag == "title":
+                in_title = True
+            elif tag in _RAW_TAGS:
+                if not slash:            # a script/style block never closed
+                    return None
+            else:
+                mk.starttag(tag, _attrs(attrs))
+        elif bad is not None:
+            return None
+        else:
+            break                        # end of the page
+    return mk.result()
+
+
+def page_markers(html: bytes | str) -> dict:
+    """The revision markers of one html payload: ``parse_page`` without
+    ``text``, and equal to it. One compiled regex scan reads the markers;
+    a page outside the scan's subset takes the ``parse_page`` walk."""
+    html = _decode(html)
+    out = _scan_markers(html)
+    if out is None:
+        out = parse_page(html)
+        del out["text"]
+    return out

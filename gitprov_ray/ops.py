@@ -538,8 +538,13 @@ def _dedup_pairs(ds, a: str, b: str, num_buckets: int = 32):
     return distinct_rows(ds, [a, b], num_buckets)
 
 
+# path-doubling rounds before transitive_closure gives up: round k closes
+# paths of up to 2^k edges, so a cap of 64 is never reached by a real graph;
+# past it the call raises rather than return a partial closure
+_CLOSURE_MAX_ROUNDS = 64
+
+
 def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
-                       max_rounds: int = 32,
                        num_partitions: int | None = None):
     """Distributed transitive closure of a binary relation by PATH
     DOUBLING: after round k the pair set holds every pair connected by a
@@ -547,7 +552,8 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
     ``Dataset.join`` rounds close any graph — a 250-hop chain needs 8
     rounds, not 250 (semi-naive iteration). Each round joins the set
     with itself on dst==src, unions, and dedups through one
-    bucket exchange; fixpoint = pair count unchanged.
+    bucket exchange; fixpoint = pair count unchanged. No fixpoint within
+    ``_CLOSURE_MAX_ROUNDS`` raises ``RuntimeError``.
 
     Scale note: the RESULT is inherently quadratic in chain length
     (that is the semantics of closure, not an implementation cost);
@@ -568,7 +574,7 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
                          (dst, _pa_type_of(sample[0][dst]))])
     total = materialize_normalized(total, tschema)
     n = total.count()
-    for _ in range(max_rounds):
+    for _ in range(_CLOSURE_MAX_ROUNDS):
         right = total.map_batches(
             lambda df: df.rename(columns={src: dst, dst: "__far"}),
             batch_format="pandas")
@@ -581,9 +587,10 @@ def transitive_closure(edges_ds, src: str = "s", dst: str = "o",
             _dedup_pairs(total.union(stepped), src, dst), tschema)
         n2 = total.count()
         if n2 == n:
-            break
+            return total
         n = n2
-    return total
+    raise RuntimeError(
+        f"transitive_closure: no fixpoint after {_CLOSURE_MAX_ROUNDS} rounds")
 
 
 def pagerank(edges_ds, iters: int = 3, damping: float = 0.85,

@@ -3,7 +3,9 @@
 Stateless ``map_batches`` functions over ``batch_format="pyarrow"`` batches.
 The html column is parsed ONCE per stage and projected away immediately
 (SURVEY.md §7 hard part 6: keep wide binary columns out of downstream
-stages).
+stages). The event path reads only the revision markers
+(``extract.page_markers``); a page with no resource marker, or with a
+malformed resource or parent marker, is quarantined: it yields no events.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from urllib.parse import urlparse
 import pyarrow as pa
 
 from .. import schemas
-from ..extract import parse_page
+from ..extract import page_markers, parse_page
 from ..synth import snapshot_sha
 
 
@@ -42,39 +44,46 @@ def page_events_batch(batch: pa.Table) -> pa.Table:
 
     One output row per (snapshot, resource marker). snapshot_id is
     re-derived as sha1(url|ts) — the engine never needs an id column in the
-    input. Pages with no parseable resource events (empty/boilerplate html)
-    are quarantined: they yield no rows (M15/M16 policy). No counter records
-    them yet — the run metrics (``checkpoint._run_metrics``) count events,
-    not pages.
+    input. The markers come from ``extract.page_markers``, which never
+    builds the pruned text. A page is quarantined, yielding no rows (M15/M16
+    policy), when it has no html or no resource markers (empty/boilerplate
+    pages), or when a resource or parent marker is malformed: a valueless
+    ``data-name``, ``data-status`` or ``href``, or a count that is not an
+    int32. No counter records them yet — the run metrics
+    (``checkpoint._run_metrics``) count events, not pages.
     """
     urls = batch.column("url").to_pylist()
     tss = batch.column("warc_ts").to_pylist()
-    htmls = batch.column("html").to_pylist()
-    out: dict[str, list] = {name: [] for name in schemas.REVISIONS.names}
-    for url, ts, html in zip(urls, tss, htmls):
-        if not html:
-            continue
-        p = parse_page(html)
-        if not p["resources"]:
-            continue
-        graph = graph_of_url(url)
-        sha = snapshot_sha(url, ts)
-        for seq, r in enumerate(p["resources"]):
-            out["graph"].append(graph)
-            out["page_key"].append(r["name"])
-            out["snapshot_id"].append(sha)
-            out["ts"].append(ts)
-            out["author"].append(p["author"])
-            out["author_name"].append(p["author_name"])
-            out["label"].append(p["label"])
-            out["change_status"].append(r["status"])
-            out["event_seq"].append(seq)
-            out["additions"].append(r["additions"])
-            out["changes"].append(r["changes"])
-            out["deletions"].append(r["deletions"])
-            out["parents"].append(p["parents"])
-            out["url"].append(url)
-    return pa.Table.from_pydict(out, schema=schemas.REVISIONS)
+    pages, res = [], []                  # (url, ts, markers) per kept page
+    for url, ts, html in zip(urls, tss, batch.column("html").to_pylist()):
+        if html:
+            m = page_markers(html)
+            if m["resources"]:
+                pages.append((url, ts, m))
+                res.extend(m["resources"])
+
+    def per_event(values):               # one page value per resource
+        return [v for v, (_, _, m) in zip(values, pages)
+                for _ in m["resources"]]
+
+    page_urls = [u for u, _, _ in pages]
+    return pa.Table.from_pydict({
+        "graph": per_event([graph_of_url(u) for u in page_urls]),
+        "page_key": [r["name"] for r in res],
+        "snapshot_id": per_event([snapshot_sha(u, t) for u, t, _ in pages]),
+        "ts": per_event([t for _, t, _ in pages]),
+        "author": per_event([m["author"] for _, _, m in pages]),
+        "author_name": per_event([m["author_name"] for _, _, m in pages]),
+        "label": per_event([m["label"] for _, _, m in pages]),
+        "change_status": [r["status"] for r in res],
+        "event_seq": [i for _, _, m in pages
+                      for i in range(len(m["resources"]))],
+        "additions": [r["additions"] for r in res],
+        "changes": [r["changes"] for r in res],
+        "deletions": [r["deletions"] for r in res],
+        "parents": per_event([m["parents"] for _, _, m in pages]),
+        "url": per_event(page_urls),
+    }, schema=schemas.REVISIONS)
 
 
 def render_pages_from_documents_batch(batch: pa.Table, repeat: int = 1) -> pa.Table:

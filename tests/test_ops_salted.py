@@ -35,6 +35,24 @@ def test_salted_sum_matches_pandas():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_transitive_closure_runs_to_fixpoint_or_raises(monkeypatch):
+    """A 20-node chain closes to all 190 pairs (6 doubling rounds); a cap
+    that stops short raises instead of returning a partial closure."""
+    import ray.data as rd
+
+    from gitprov_ray import ops
+
+    chain = pd.DataFrame({"s": range(19), "o": range(1, 20)}).astype("int64")
+    got = ops.transitive_closure(rd.from_pandas(chain),
+                                 num_partitions=2).to_pandas()
+    assert set(zip(got.s, got.o)) == \
+        {(i, j) for i in range(20) for j in range(i + 1, 20)}
+    monkeypatch.setattr(ops, "_CLOSURE_MAX_ROUNDS", 2)
+    with pytest.raises(RuntimeError, match="no fixpoint"):
+        ops.transitive_closure(rd.from_pandas(chain), num_partitions=2)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_transitive_closure_path_doubling():
     """ops.transitive_closure: chains close in log2 rounds; result equals
     the brute-force reachability set."""

@@ -42,6 +42,104 @@ def test_extract_never_crashes_and_is_deterministic(data):
     b = extract.parse_page(data)
     assert a == b
     assert isinstance(a["text"], str)
+    del a["text"]
+    assert extract.page_markers(data) == a
+
+
+# html built from revision markers and the markup around them. Safe pieces
+# stay inside the subset the compiled marker scan reads; the others (stray
+# '<', unterminated tags, markup inside a title, odd separators, quotes and
+# '=' in unquoted values) may leave it.
+_TAG_NAMES = ["title", "TITLE", "meta", "Meta", "li", "LI", "a", "A", "p",
+              "div", "nav", "head", "br", "script", "style", "Script"]
+_ATTR_NAMES = ["name", "NAME", "content", "class", "Class", "rel", "href",
+               "HREF", "data-name", "data-status", "data-additions",
+               "data-changes", "data-deletions", "id"]
+_ATTR_VALUES = ["author", "author-name", "res", "x res", "RES", "parent",
+                "#ab", "##c", "added", "3", "-2", "0", "", "x&amp;y",
+                "a&lt;b", "&#39;q", "&am", "li", "1e3", "x/", "a b",
+                "<li class=res data-name=v>"]
+_TEXTS = ["hello", " x  y\n", "a &amp; b", "&am", "p;", "&", "&#65;", "é",
+          "--", "->", "]]"]
+
+
+@st.composite
+def _attr(draw, safe):
+    name = draw(st.sampled_from(_ATTR_NAMES))
+    value = draw(st.sampled_from(_ATTR_VALUES))
+    quote = draw(st.sampled_from(["dq", "sq", "bare", "none"]))
+    if quote == "bare" and (safe or draw(st.booleans())):
+        value = re.sub(r"[\s\"'=<>`]", "", value) or "v"
+    sep = " " if safe else draw(st.sampled_from([" ", "\n", "  ", "\xa0",
+                                                 "\x0b", ""]))
+    if quote == "none":
+        return sep + name
+    around = "" if safe else draw(st.sampled_from(["", " ", "=", "\t"]))
+    quoted = {"dq": '"%s"' % value.replace('"', ""),
+              "sq": "'%s'" % value.replace("'", ""), "bare": value}[quote]
+    return f"{sep}{name}{around}={around}{quoted}"
+
+
+@st.composite
+def _start_tag(draw, safe):
+    name = draw(st.sampled_from(_TAG_NAMES))
+    if safe and name.lower() in ("title", "script", "style"):
+        name = "p"                   # _title and _raw_block close these
+    attrs = "".join(draw(st.lists(_attr(safe), max_size=4)))
+    close = draw(st.sampled_from([">", "/>", " >"] if safe else
+                                 [">", "/>", " >", " / >", "", "\x00>"]))
+    return f"<{name}{attrs}{close}"
+
+
+@st.composite
+def _title(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_TEXTS), max_size=3)))
+    return f"<title>{text}</{draw(st.sampled_from(['title', 'TITLE']))} >"
+
+
+@st.composite
+def _raw_block(draw, safe):
+    name = draw(st.sampled_from(["script", "style", "SCRIPT"]))
+    inner = draw(st.sampled_from([
+        '<li class="res" data-name="raw">', "<title>t</title>", "x < y",
+        "</scriptx>", "</style>", "</ſcript>", ""]))
+    close = draw(st.sampled_from([f"</{name}>", f"</ {name.upper()} >"]))
+    if not safe and draw(st.booleans()):
+        close = ""
+    return f"<{name}>{inner}{close}"
+
+
+_SAFE_FIXED = ["<!-- c -->", "<!-- <li class=res data-name=c> -- >",
+               "<!---->", "<!DOCTYPE html>", "<!doctype x>", "<!>", "</p>",
+               "</li >", "</title>", "</div>"]
+_UNSAFE_FIXED = ["<", "< p>", "<3", "<!", "<!-- open", "<![CDATA[x]]>",
+                 "<?pi?>", "</ p>", "</>", "</title x>", "<title/>",
+                 "<title>", "<li class='res' data-name='u'", "<a\xa0rel=x>"]
+
+
+def _pieces(safe):
+    base = [_start_tag(safe), _raw_block(safe), st.sampled_from(_TEXTS),
+            st.sampled_from(_SAFE_FIXED), _title()]
+    if not safe:
+        base.append(st.sampled_from(_UNSAFE_FIXED))
+    return st.lists(st.one_of(base), max_size=12).map("".join)
+
+
+@given(_pieces(safe=True), _pieces(safe=False),
+       st.sampled_from(["<", "< x", "<!--", "<li class=res"]))
+@settings(max_examples=300, deadline=None)
+def test_page_markers_equal_parse_page(fast, mixed, stray):
+    """The compiled marker scan reads what html.parser reads: on a page
+    inside its subset (``fast``) and on any page (``mixed``); a page it
+    cannot read (``mixed`` ending in a '<' that no '>' closes) takes the
+    walk."""
+    assert extract._scan_markers(fast) is not None
+    assert extract._scan_markers(mixed + stray) is None
+    for page in (fast, mixed, mixed + stray):
+        want = extract.parse_page(page)
+        del want["text"]
+        assert extract.page_markers(page) == want
+        assert extract.page_markers(page.encode()) == want
 
 
 @given(st.text(max_size=500))
