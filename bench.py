@@ -21,7 +21,10 @@ leaves that headroom while still measuring a true 4x worker ratio.
 
 ``--kernels``: Ray-free timing of the flagship's per-batch kernels over the
 kgbench corpus ``kgbench.corpus.make_docs($GRAFT_KERNEL_SEED=7, 500)``:
-``page_markers`` and ``parse_page`` (per page), ``page_events_batch``,
+``page_markers`` and ``parse_page`` (per page), ``page_markers_fallback``
+(``page_markers`` over the same pages with a '<' appended that no '>'
+closes, so each page is scanned to its end and then takes the
+``parse_page`` walk), ``page_events_batch``,
 ``flagship.compact_from_lagged`` and ``triples._dedup_expand_sort_group``
 (each over the whole corpus as one batch). Prints ONE JSON line with the
 best of 5 runs per kernel, in seconds.
@@ -212,6 +215,7 @@ def run_kernels() -> dict:
     docs = corpus.make_docs(seed, 500)
     pages = corpus.pages_table([p for d in docs for p in d.pages])
     htmls = pages.column("html").to_pylist()
+    strays = [h + b"<" for h in htmls]
     contributors = corpus.contributors(corpus.graphs_of(docs))
     agents_idx = emit.agents_index(contributors)
     agents = triples.flatten_batch_compact(emit.emit_agents_table(contributors))
@@ -230,6 +234,8 @@ def run_kernels() -> dict:
     kernels = {
         "page_markers": lambda: [extract.page_markers(h) for h in htmls],
         "parse_page": lambda: [extract.parse_page(h) for h in htmls],
+        "page_markers_fallback":
+            lambda: [extract.page_markers(h) for h in strays],
         "page_events_batch": lambda: pages_stage.page_events_batch(pages),
         "compact_from_lagged": lambda: flagship.compact_from_lagged(
             lagged, agents_idx, agents),

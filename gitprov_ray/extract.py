@@ -29,10 +29,12 @@ ProvenanceService.java:161-183):
 extractor and the reference for the markers. The event path
 (``stages.pages.page_events_batch``) never runs it: ``page_markers`` reads
 the markers with one compiled regex scan, which is several times cheaper
-than the ``html.parser`` walk and builds no text. A page outside the subset
-the scan reads as ``html.parser`` does (a stray '<', an unterminated tag,
-markup inside a title, ...) takes the walk; the page alone picks the branch,
-and both give the same dict. A malformed resource or parent marker (a
+than the ``html.parser`` walk and builds no text. The scan reads only the
+constructs the rendered pages use: plain start and end tags and lower-case
+script and style blocks. A page with anything else (a comment, a
+declaration, a stray '<', an unterminated tag, markup inside a title, ...)
+takes the walk; the page alone picks the branch, and both give the same
+dict. A malformed resource or parent marker (a
 valueless ``data-name``, ``data-status`` or ``href``, or a count that is not
 an int32) quarantines the page: it yields no resources.
 """
@@ -220,48 +222,40 @@ def extract_text(html: bytes | str) -> str:
 
 # -- compiled marker scan -----------------------------------------------------
 #
-# The scan accepts a page only when every '<' opens one of the constructs
-# below, each a subset of what html.parser (Python 3.11) reads the same way:
-# a comment (ended by the first ``--\s*>``), a declaration ``<!...>``, a
-# script or style block (raw text up to its ASCII-case-insensitive end tag),
-# an end tag ``</\s*name\s*>``, or a start tag whose name ends at a separator and
-# whose attributes are separated by ASCII whitespace, with quoted values, or
-# unquoted ones that run to whitespace or '>'. Anything else (a stray '<', an
-# unterminated tag, comment or script, ``<![``, ``<?``, markup inside a title)
-# sends the page to ``parse_page``. The constructs no marker rule reads are
-# consumed inside the regex, so Python sees only the marker tags.
+# The scan accepts a page only when every '<' opens one of the constructs the
+# rendered pages use, each read by html.parser the same way: a start tag whose
+# name ends at a separator and whose attributes are separated by ASCII
+# whitespace, with quoted values, or unquoted ones that run to whitespace or
+# '>'; an end tag ``</name>``; a lower-case ``<script>``/``<style>`` block
+# whose raw text holds no '<' and ends at ``</script>``/``</style>``. Anything
+# else (a comment, a declaration, a stray '<', an unterminated tag, another
+# spelling of a script/style tag, markup inside a title) sends the page to
+# ``parse_page``. The constructs no marker rule reads are consumed inside the
+# regex, so Python sees only the title, meta, li and a tags.
 _SEP = r"[\t\n\r\f ]"
 _ATTRS = (rf"(?:{_SEP}+[^\s\"'<>/=]++"
           rf"(?:{_SEP}*={_SEP}*(?:\"[^\"]*\"|'[^']*'|[^\s\"'=>][^\s>]*+))?)*+")
 _NAME = r"[a-zA-Z][^\s/>\x00\"'<=]*+(?=[\t\n\r\f />])"
 _ENDNAME = r"[a-zA-Z][-.a-zA-Z0-9:_]*+"
-_TITLE = "[tT][iI][tT][lL][eE]"
-_SCRIPT = "[sS][cC][rR][iI][pP][tT]"
-_STYLE = "[sS][tT][yY][lL][eE]"
-_READ = (rf"(?:[mM][eE][tT][aA]|[lL][iI]|[aA]|{_TITLE}|{_SCRIPT}|{_STYLE})"
-         r"[\t\n\r\f />]")
+_READ = r"(?i:meta|li|a|title|script|style)[\t\n\r\f />]"
 _SKIP = (
     r"(?:[^<]++|<(?:"
-    r"!--.*?--\s*>"
-    r"|!(?!--|\[)[^>]*>"
-    rf"|{_SCRIPT}(?=[\t\n\r\f />]){_ATTRS}{_SEP}*>.*?</\s*{_SCRIPT}\s*>"
-    rf"|{_STYLE}(?=[\t\n\r\f />]){_ATTRS}{_SEP}*>.*?</\s*{_STYLE}\s*>"
-    rf"|/\s*+(?!{_TITLE}(?![-.a-zA-Z0-9:_])){_ENDNAME}\s*>"
+    rf"script{_ATTRS}{_SEP}*>[^<]*+</script>"
+    rf"|style{_ATTRS}{_SEP}*>[^<]*+</style>"
+    rf"|/(?!(?i:title)>){_ENDNAME}>"
     rf"|(?!{_READ}){_NAME}{_ATTRS}{_SEP}*/?>"
     r"))*+"
 )
 _SCAN = re.compile(
-    # group 1: the skipped run before the token; then the token: group 2 the
-    # name of a title end tag (the run takes every other end tag), groups
-    # 3-5 a start tag the run leaves (name, attributes, '/'), group 6 a '<'
-    # outside the subset; no group at the end of the page
-    rf"({_SKIP})(?:<(?:/\s*({_ENDNAME})\s*>"
-    rf"|({_NAME})({_ATTRS}){_SEP}*(/?)>|())|\Z)",
-    re.S,
+    # group 1: the skipped run before the token; then the token: group 2 a
+    # title end tag (the run takes every other end tag), groups 3-4 a start
+    # tag the run leaves (name, attributes), group 5 a '<' outside the
+    # subset; no group at the end of the page
+    rf"({_SKIP})(?:<(?:/({_ENDNAME})>"
+    rf"|({_NAME})({_ATTRS}){_SEP}*/?>|())|\Z)"
 )
 _ATTR = re.compile(rf"{_SEP}+([^\s\"'<>/=]++)(?:{_SEP}*(=){_SEP}*"
                    r"(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'=>][^\s>]*+)))?")
-_RAW_TAGS = ("script", "style")
 
 
 def _attrs(s: str) -> dict:
@@ -278,7 +272,7 @@ def _scan_markers(html: str) -> dict | None:
     mk = _Markers()
     in_title = False
     for m in _SCAN.finditer(html):
-        end, name, attrs, slash, bad = m.group(2, 3, 4, 5, 6)
+        end, name, attrs, bad = m.group(2, 3, 4, 5)
         if in_title:                     # only text, then </title>
             text = m.group(1)
             if end is None or "<" in text:
@@ -292,9 +286,8 @@ def _scan_markers(html: str) -> dict | None:
             tag = name.lower()
             if tag == "title":
                 in_title = True
-            elif tag in _RAW_TAGS:
-                if not slash:            # a script/style block never closed
-                    return None
+            elif tag in ("script", "style"):  # not a block the run takes
+                return None
             else:
                 mk.starttag(tag, _attrs(attrs))
         elif bad is not None:
